@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench benchcmp soak soak-short cluster-soak audit-verify
+.PHONY: check build vet test race tcbbench loc bench benchcmp soak soak-short cluster-soak audit-verify
 
-check: build vet test race benchcmp audit-verify soak-short
+check: build vet test race tcbbench benchcmp audit-verify soak-short
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,18 @@ race:
 		./internal/obs ./internal/obs/prof ./internal/cpu ./internal/mem \
 		./internal/chaos ./internal/sksm ./internal/audit \
 		./cmd/palservd ./cmd/attestd
+
+# tcbbench vets and tests the end-to-end benchmark. It is a module of its
+# own (cmd/tcbbench/go.mod), so the root `go test ./...` never compiles
+# it, yet it builds against palsvc, cluster, core, sksm and attest.
+tcbbench:
+	cd cmd/tcbbench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the tracked source size: non-test Go lines outside the
+# benchmark module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/tcbbench/*' \
+		-not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # soak drives the fault-injected zero-loss/zero-leak acceptance run (see
 # docs/RESILIENCE.md): a multi-replica service under the "soak" profile over

@@ -383,10 +383,11 @@ var quoteBatchSizes = []int{1, 4, 8}
 
 // BenchmarkTPM_QuoteBatch measures the amortization the batched quote
 // buys at the chip level: each iteration parks `size` registers in the
-// Quote state and attests all of them. Width 1 uses the one-shot
-// TPM_Quote (one RSA signature per job); wider batches pay one signature
-// over the Merkle root for the whole set, so ns/op grows far slower than
-// linearly in the width. Nonces vary per iteration so the signature memo
+// Quote state and attests all of them with one TPM_SEPCR_QuoteBatch.
+// Width 1 — the batch of one every unbatched job uses — pays one RSA
+// signature per job; wider batches pay one signature over the Merkle root
+// for the whole set, so ns/op grows far slower than linearly in the
+// width. Nonces vary per iteration so the signature memo
 // cannot short-circuit the RSA operation being measured.
 func BenchmarkTPM_QuoteBatch(b *testing.B) {
 	for _, size := range quoteBatchSizes {
@@ -412,12 +413,6 @@ func BenchmarkTPM_QuoteBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				handles := park()
 				binary.BigEndian.PutUint64(nonce, uint64(i))
-				if size == 1 {
-					if _, err := chip.QuoteSePCR(handles[0], nonce); err != nil {
-						b.Fatal(err)
-					}
-					continue
-				}
 				reqs := make([]tpm.BatchRequest, size)
 				for j, h := range handles {
 					jn := make([]byte, 12)

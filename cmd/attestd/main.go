@@ -343,7 +343,7 @@ func verify(addr, anchorsPath string, timeout time.Duration, auditDir string) er
 		trace = ctx.Trace
 		opts = append(opts, attest.WithTraceContext(trace.String(), ctx.Span))
 	}
-	name, err := v.ChallengeAndVerify(conn, nonce, false, 0, opts...)
+	name, err := v.ChallengeAndVerify(conn, nonce, opts...)
 	if err != nil {
 		arec.Record(audit.Event{
 			Type: audit.EventVerifyFail, Handle: -1,

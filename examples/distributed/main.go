@@ -19,6 +19,7 @@ import (
 	"minimaltcb/internal/attest"
 	"minimaltcb/internal/core"
 	"minimaltcb/internal/platform"
+	"minimaltcb/internal/sksm"
 	"minimaltcb/internal/tpm"
 )
 
@@ -129,12 +130,14 @@ func (w *worker) runAndServe(start, span uint32, lie bool) (result []byte, evide
 		{PCR: -1, Description: w.p.Name, Measurement: w.p.Measurement()},
 		{PCR: -1, Description: "result", Measurement: tpm.Measure(result)},
 	}
+	// The run is attested as a batch of one: the coordinator's job nonce
+	// is bound into the single leaf.
 	responder := func(ch attest.Challenge) (*attest.Evidence, error) {
-		q, err := mg.QuoteAfterExit(secb, ch.Nonce)
+		q, err := mg.QuoteBatchAfterExit([]*sksm.SECB{secb}, ch.JobNonces, ch.Nonce, 0)
 		if err != nil {
 			return nil, err
 		}
-		return &attest.Evidence{Cert: w.sys.Cert, Quote: q, Log: logEntries}, nil
+		return &attest.Evidence{Cert: w.sys.Cert, Batch: q, Logs: []attest.Log{logEntries}}, nil
 	}
 	return result, responder, nil
 }
@@ -143,12 +146,12 @@ func (w *worker) runAndServe(start, span uint32, lie bool) (result []byte, evide
 func verifyWorker(w *worker, result []byte, respond attest.Responder, nonce []byte, v *attest.Verifier) error {
 	client, server := net.Pipe()
 	go attest.ServeOne(server, respond)
-	name, err := v.ChallengeAndVerify(client, nonce, true, 0)
+	names, err := v.ChallengeAndVerifyBatch(client, nil, nonce, []int{0}, [][]byte{nonce})
 	if err != nil {
 		return err
 	}
-	if name != w.p.Name {
-		return fmt.Errorf("attested name %q", name)
+	if names[0] != w.p.Name {
+		return fmt.Errorf("attested name %q", names[0])
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"minimaltcb/internal/cpu"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sim"
+	"minimaltcb/internal/sksm"
 )
 
 const dataSize = 4096
@@ -193,7 +194,7 @@ func main() {
 		log.Fatal(err)
 	}
 	nonce := []byte("multicore-nonce")
-	q, err := mg.QuoteAfterExit(secb, nonce)
+	q, err := mg.QuoteBatchAfterExit([]*sksm.SECB{secb}, [][]byte{nonce}, nonce, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -385,31 +385,3 @@ func (v *Verifier) rootApproved(log Log, sel tpm.Selection) (string, error) {
 	}
 	return "", ErrUnknownPAL
 }
-
-// VerifySePCRQuote validates an attestation over a sePCR on recommended
-// hardware (§5.4.3): same chain, but the composite is the single register
-// value and the log is the PAL measurement (plus any input extensions).
-func (v *Verifier) VerifySePCRQuote(cert *AIKCert, q *tpm.Quote, log Log, nonce []byte) (string, error) {
-	if err := v.verifyCertMemo(cert); err != nil {
-		return "", err
-	}
-	if err := v.verifyQuoteSigMemo(cert.AIK, q); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadSignature, err)
-	}
-	if string(q.Nonce) != string(nonce) {
-		return "", ErrWrongNonce
-	}
-	if q.SePCRHandle < 0 {
-		return "", errors.New("attest: quote does not cover a sePCR")
-	}
-	// Replay the sePCR chain and approve its root (session.go shares this
-	// with the batched paths).
-	name, err := v.approveSePCRLog(log, q.Composite)
-	if err != nil {
-		return "", err
-	}
-	if err := v.consumeNonce(nonce); err != nil {
-		return "", err
-	}
-	return name, nil
-}

@@ -224,6 +224,17 @@ func TestVerifyPALQuoteRejectsWrongNonceAndLog(t *testing.T) {
 	}
 }
 
+// quoteOne attests one parked register the way every sePCR is attested:
+// as a batch of one, the job nonce doubling as the batch nonce.
+func quoteOne(t *testing.T, chip *tpm.TPM, h int, nonce []byte) *tpm.BatchQuote {
+	t.Helper()
+	q, err := chip.QuoteSePCRBatch([]tpm.BatchRequest{{Handle: h, Nonce: nonce}}, nonce, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 func TestVerifySePCRQuoteEndToEnd(t *testing.T) {
 	ca := newCA(t)
 	chip := newTPM(t, 6, 2)
@@ -237,10 +248,7 @@ func TestVerifySePCRQuoteEndToEnd(t *testing.T) {
 	chip.SePCRExtend(h, 0, input)
 	chip.ReleaseSePCR(h, 0)
 	nonce := []byte("challenge")
-	q, err := chip.QuoteSePCR(h, nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := quoteOne(t, chip, h, nonce)
 
 	log := Log{
 		{PCR: -1, Description: "PAL", Measurement: meas},
@@ -249,12 +257,22 @@ func TestVerifySePCRQuoteEndToEnd(t *testing.T) {
 	cert, _ := ca.Certify("ws", chip.AIKPublic())
 	v := NewVerifier(ca.Public())
 	v.Approve("factoring", meas)
-	name, err := v.VerifySePCRQuote(cert, q, log, nonce)
+	// Failed verifications come first: none of them may burn the nonce.
+	if _, err := v.VerifyBatchedQuote(cert, q, 0, log, []byte("wrong")); !errors.Is(err, ErrWrongNonce) {
+		t.Fatalf("wrong nonce: %v", err)
+	}
+	if _, err := v.VerifyBatchedQuote(cert, q, 0, log[:1], nonce); !errors.Is(err, ErrLogMismatch) {
+		t.Fatalf("log without the input extension: %v", err)
+	}
+	name, err := v.VerifyBatchedQuote(cert, q, 0, log, nonce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name != "factoring" {
 		t.Fatalf("name %q", name)
+	}
+	if _, err := v.VerifyBatchedQuote(cert, q, 0, log, nonce); !errors.Is(err, ErrNonceReplay) {
+		t.Fatalf("replayed quote: %v", err)
 	}
 }
 
@@ -268,7 +286,7 @@ func TestVerifySePCRQuoteRejectsKilledPAL(t *testing.T) {
 	if err := chip.KillSePCR(h); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := chip.QuoteSePCR(h, []byte("n")); err == nil {
+	if _, err := chip.QuoteSePCRBatch([]tpm.BatchRequest{{Handle: h, Nonce: []byte("n")}}, []byte("n"), 0); err == nil {
 		t.Fatal("killed PAL's register quoted")
 	}
 	// And a forged log containing the SKILL marker is rejected.
@@ -279,13 +297,13 @@ func TestVerifySePCRQuoteRejectsKilledPAL(t *testing.T) {
 	chip.SePCRExtend(h2, 0, tpm.SKillMarker)
 	chip.ReleaseSePCR(h2, 0)
 	nonce := []byte("n9")
-	q, _ := chip.QuoteSePCR(h2, nonce)
+	q := quoteOne(t, chip, h2, nonce)
 	log := Log{
 		{PCR: -1, Measurement: meas},
 		{PCR: -1, Measurement: tpm.SKillMarker},
 	}
-	if _, err := v.VerifySePCRQuote(cert, q, log, nonce); err == nil {
-		t.Fatal("log with SKILL marker verified")
+	if _, err := v.VerifyBatchedQuote(cert, q, 0, log, nonce); !errors.Is(err, ErrUnknownPAL) {
+		t.Fatalf("log with SKILL marker: %v", err)
 	}
 }
 
@@ -300,7 +318,7 @@ func TestVerifySePCRQuoteRootMustBeApproved(t *testing.T) {
 	chip.SePCRExtend(h, 0, good)
 	chip.ReleaseSePCR(h, 0)
 	nonce := []byte("n10")
-	q, _ := chip.QuoteSePCR(h, nonce)
+	q := quoteOne(t, chip, h, nonce)
 	log := Log{
 		{PCR: -1, Measurement: evil},
 		{PCR: -1, Measurement: good},
@@ -308,7 +326,7 @@ func TestVerifySePCRQuoteRootMustBeApproved(t *testing.T) {
 	v := NewVerifier(ca.Public())
 	v.Approve("good", good)
 	cert, _ := ca.Certify("ws", chip.AIKPublic())
-	if _, err := v.VerifySePCRQuote(cert, q, log, nonce); !errors.Is(err, ErrUnknownPAL) {
+	if _, err := v.VerifyBatchedQuote(cert, q, 0, log, nonce); !errors.Is(err, ErrUnknownPAL) {
 		t.Fatalf("root-spoofed log: %v", err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // This file implements the wire protocol between the attesting platform
 // and the external verifier of §3.1. The verifier connects, sends a fresh
 // challenge, and receives the evidence bundle — AIK certificate, quote,
-// and measurement log — that VerifyPALQuote / VerifySePCRQuote consume.
+// and measurement log — that VerifyPALQuote / VerifyBatchedQuote consume.
 // Everything security-relevant is inside the signed quote; the transport
 // needs no secrecy, matching the paper's trust model (the adversary
 // "can monitor all network traffic").
@@ -24,11 +24,10 @@ import (
 type Challenge struct {
 	// Nonce must be fresh per request; the verifier rejects replays.
 	Nonce []byte
-	// SePCR selects a secure-execution-PCR quote instead of a dynamic
-	// PCR quote (recommended-hardware platforms).
+	// SePCR selects secure-execution-PCR attestation instead of a
+	// dynamic PCR quote (recommended-hardware platforms). sePCRs are
+	// attested only by batch quotes, so SePCR without Batch is refused.
 	SePCR bool
-	// Handle is the sePCR to quote when SePCR is set.
-	Handle int
 	// TraceID and ParentSpan carry the verifier's propagated trace
 	// context (the compact obs.TraceID string form), so the platform's
 	// challenge span nests in the caller's distributed trace instead of
@@ -39,19 +38,19 @@ type Challenge struct {
 
 	// Batch, when set, asks for ONE batched quote (tpm.QuoteSePCRBatch)
 	// covering Handles, with JobNonces[i] bound into Handles[i]'s leaf;
-	// Nonce becomes the batch-level nonce. OpenSession additionally asks
-	// the platform to open a quote session, return its grant, and MAC the
-	// batch under it. Old platforms ignore all three (gob matches by
-	// name) and answer the one-shot path — the verifier detects the
-	// downgrade by the missing Evidence.Batch.
+	// Nonce becomes the batch-level nonce. One register is a batch of
+	// one. OpenSession additionally asks the platform to open a quote
+	// session, return its grant, and MAC the batch under it. Platforms
+	// that predate batching ignore all three (gob matches by name) — the
+	// verifier detects that by the missing Evidence.Batch.
 	Batch       bool
 	Handles     []int
 	JobNonces   [][]byte
 	OpenSession bool
 }
 
-// Evidence is the platform's response. Exactly one of Quote (one-shot) or
-// Batch (batched challenge) is set.
+// Evidence is the platform's response. Exactly one of Quote (a dynamic
+// PCR challenge) or Batch (an sePCR challenge) is set.
 type Evidence struct {
 	Cert  *AIKCert
 	Quote *tpm.Quote
@@ -165,6 +164,11 @@ func ServeOne(conn net.Conn, respond Responder, opts ...Option) error {
 	if len(ch.Nonce) == 0 || len(ch.Nonce) > 256 {
 		return errors.New("attest: refusing challenge with absent or oversized nonce")
 	}
+	if ch.SePCR && !ch.Batch {
+		// sePCRs are attested only as batches (one register is a batch of
+		// one); refuse before the platform could consume a register.
+		return errors.New("attest: refusing sePCR challenge without Batch")
+	}
 	if ch.Batch {
 		// A malformed batch challenge is rejected BEFORE the platform is
 		// consulted: batch assembly must not be able to fail mid-flight
@@ -188,9 +192,9 @@ func ServeOne(conn net.Conn, respond Responder, opts ...Option) error {
 	if !deadline.IsZero() && time.Now().After(deadline) {
 		// The deadline expired before the platform was consulted (a
 		// slow-read client can burn the whole budget on the challenge).
-		// Fail WITHOUT calling respond: a quote is one-shot — generating
-		// it zeroes the sePCR — so producing evidence that can no longer
-		// be delivered would leave the register unattestable forever.
+		// Fail WITHOUT calling respond: quoting an sePCR frees it, so
+		// producing evidence that can no longer be delivered would leave
+		// the register unattestable forever.
 		return &TimeoutError{Op: "awaiting platform", Limit: cfg.timeout, Err: os.ErrDeadlineExceeded}
 	}
 	ev, err := respond(ch)
@@ -226,9 +230,9 @@ func Serve(l net.Listener, respond Responder, opts ...Option) error {
 			// The serial responder is built per connection so it can
 			// re-check this connection's budget after the mutex wait:
 			// a stalled exchange ahead of us can eat the whole timeout,
-			// and quotes are one-shot — consuming one for a connection
-			// whose peer has already been cut off by its deadline would
-			// leave that sePCR unattestable forever.
+			// and quoting frees the sePCR — consuming one for a
+			// connection whose peer has already been cut off by its
+			// deadline would leave that register unattestable forever.
 			serial := func(ch Challenge) (*Evidence, error) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -266,23 +270,21 @@ func Request(conn net.Conn, ch Challenge, opts ...Option) (*Evidence, error) {
 		return nil, errors.New("attest: platform returned no evidence")
 	}
 	if ch.Batch && ev.Batch == nil {
-		// A legacy platform ignored the batch fields and answered the
-		// one-shot path; surface the downgrade rather than mis-verifying.
+		// A platform that predates batching ignored the batch fields;
+		// surface the downgrade rather than mis-verifying.
 		return nil, errors.New("attest: platform does not support batched quotes")
 	}
 	return &ev, nil
 }
 
-// ChallengeAndVerify runs the complete verifier flow over conn: send a
-// challenge, receive evidence, and validate it against this verifier's
-// trust anchors. It returns the approved PAL's name.
-func (v *Verifier) ChallengeAndVerify(conn net.Conn, nonce []byte, sePCR bool, handle int, opts ...Option) (string, error) {
-	ev, err := Request(conn, Challenge{Nonce: nonce, SePCR: sePCR, Handle: handle}, opts...)
+// ChallengeAndVerify runs the complete verifier flow for a dynamic PCR
+// quote over conn: send a challenge, receive evidence, and validate it
+// against this verifier's trust anchors. It returns the approved PAL's
+// name. sePCRs are challenged with ChallengeAndVerifyBatch.
+func (v *Verifier) ChallengeAndVerify(conn net.Conn, nonce []byte, opts ...Option) (string, error) {
+	ev, err := Request(conn, Challenge{Nonce: nonce}, opts...)
 	if err != nil {
 		return "", err
-	}
-	if sePCR {
-		return v.VerifySePCRQuote(ev.Cert, ev.Quote, ev.Log, nonce)
 	}
 	return v.VerifyPALQuote(ev.Cert, ev.Quote, ev.Log, nonce)
 }

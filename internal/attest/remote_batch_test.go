@@ -46,7 +46,7 @@ func newBatchPlatform(t *testing.T, v *Verifier, ca *PrivacyCA, n int) *batchPla
 	return p
 }
 
-// respond answers batch challenges; one-shot challenges are refused so a
+// respond answers batch challenges; anything else is refused so a
 // downgrade cannot slip through silently in these tests.
 func (p *batchPlatform) respond(ch Challenge) (*Evidence, error) {
 	p.calls.Add(1)
@@ -169,10 +169,10 @@ func TestRemoteSessionResumption(t *testing.T) {
 	}
 }
 
-// TestBatchFailureMidFlightConsumesNothing is the batch-path mirror of the
-// PR5 one-shot fix: when batch assembly fails on the platform (a register
-// not in Quote state, an injected TPM fault), no register is consumed and
-// no verifier nonce is burned — the retry with the SAME nonces succeeds.
+// TestBatchFailureMidFlightConsumesNothing: when batch assembly fails on
+// the platform (a register not in Quote state, an injected TPM fault), no
+// register is consumed and no verifier nonce is burned — the retry with
+// the SAME nonces succeeds.
 func TestBatchFailureMidFlightConsumesNothing(t *testing.T) {
 	ca := newCA(t)
 	v := NewVerifier(ca.Public())
@@ -206,9 +206,10 @@ func TestBatchFailureMidFlightConsumesNothing(t *testing.T) {
 }
 
 // TestMalformedBatchChallengeRejectedBeforePlatform: a batch challenge
-// with mismatched handles/nonces never reaches the responder — the
-// platform cannot be made to consume registers for a request whose
-// evidence could not be verified anyway.
+// with mismatched handles/nonces, or an sePCR challenge that is not a
+// batch, never reaches the responder — the platform cannot be made to
+// consume registers for a request whose evidence could not be verified
+// anyway.
 func TestMalformedBatchChallengeRejectedBeforePlatform(t *testing.T) {
 	ca := newCA(t)
 	v := NewVerifier(ca.Public())
@@ -217,6 +218,7 @@ func TestMalformedBatchChallengeRejectedBeforePlatform(t *testing.T) {
 		{Nonce: []byte("n"), Batch: true}, // no handles
 		{Nonce: []byte("n"), Batch: true, Handles: []int{0, 1}, JobNonces: [][]byte{[]byte("a")}}, // length mismatch
 		{Nonce: []byte("n"), Batch: true, Handles: []int{0}, JobNonces: [][]byte{nil}},            // empty job nonce
+		{Nonce: []byte("n"), SePCR: true}, // sePCR without Batch
 	}
 	for i, ch := range cases {
 		server, client := net.Pipe()

@@ -142,7 +142,7 @@ func TestServeSurvivesPanickingResponder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, err := v.ChallengeAndVerify(c2, []byte("after-panic"), false, 0, WithTimeout(2*time.Second))
+	name, err := v.ChallengeAndVerify(c2, []byte("after-panic"), WithTimeout(2*time.Second))
 	if err != nil {
 		t.Fatalf("server dead after responder panic: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestConcurrentVerifierClients(t *testing.T) {
 				return
 			}
 			nonce := []byte(fmt.Sprintf("conc-nonce-%d", i))
-			name, err := v.ChallengeAndVerify(conn, nonce, false, 0, WithTimeout(5*time.Second))
+			name, err := v.ChallengeAndVerify(conn, nonce, WithTimeout(5*time.Second))
 			if err != nil {
 				errs <- err
 				return

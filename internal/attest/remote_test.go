@@ -45,7 +45,7 @@ func TestRemoteAttestationOverPipe(t *testing.T) {
 
 	v := NewVerifier(ca.Public())
 	v.Approve("remote-pal", tpm.Measure(image))
-	name, err := v.ChallengeAndVerify(client, []byte("remote nonce 1"), false, 0)
+	name, err := v.ChallengeAndVerify(client, []byte("remote nonce 1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRemoteAttestationOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, err := v.ChallengeAndVerify(conn, []byte("tcp nonce"), false, 0)
+	name, err := v.ChallengeAndVerify(conn, []byte("tcp nonce"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRemoteAttestationOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.ChallengeAndVerify(conn2, []byte("tcp nonce 2"), false, 0); err != nil {
+	if _, err := v.ChallengeAndVerify(conn2, []byte("tcp nonce 2")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -99,7 +99,7 @@ func TestRemoteVerifierRejectsUnapprovedPAL(t *testing.T) {
 	go ServeOne(server, respond)
 
 	v := NewVerifier(ca.Public()) // nothing approved
-	if _, err := v.ChallengeAndVerify(client, []byte("n"), false, 0); err == nil {
+	if _, err := v.ChallengeAndVerify(client, []byte("n")); err == nil {
 		t.Fatal("unapproved PAL verified remotely")
 	}
 }
@@ -116,7 +116,7 @@ func TestRemoteVerifierRejectsWrongCA(t *testing.T) {
 	}
 	v := NewVerifier(otherCA.Public())
 	v.Approve("pal", tpm.Measure(image))
-	if _, err := v.ChallengeAndVerify(client, []byte("n"), false, 0); err == nil {
+	if _, err := v.ChallengeAndVerify(client, []byte("n")); err == nil {
 		t.Fatal("evidence verified against an untrusted CA")
 	}
 }
@@ -146,27 +146,25 @@ func TestRemoteSePCRAttestation(t *testing.T) {
 	tb.chip.ReleaseSePCR(h, 0)
 	log := Log{{PCR: -1, Description: "PAL", Measurement: meas}}
 	respond := func(ch Challenge) (*Evidence, error) {
-		if !ch.SePCR {
-			return nil, errNotSePCR
-		}
-		q, err := tb.chip.QuoteSePCR(ch.Handle, ch.Nonce)
+		reqs := []tpm.BatchRequest{{Handle: ch.Handles[0], Nonce: ch.JobNonces[0]}}
+		q, err := tb.chip.QuoteSePCRBatch(reqs, ch.Nonce, 0)
 		if err != nil {
 			return nil, err
 		}
-		return &Evidence{Cert: cert, Quote: q, Log: log}, nil
+		return &Evidence{Cert: cert, Batch: q, Logs: []Log{log}}, nil
 	}
 
+	// One register is challenged as a batch of one.
 	client, server := net.Pipe()
 	go ServeOne(server, respond)
 	v := NewVerifier(ca.Public())
 	v.Approve("rec-pal", meas)
-	name, err := v.ChallengeAndVerify(client, []byte("sepcr nonce"), true, h)
+	names, err := v.ChallengeAndVerifyBatch(client, nil, []byte("sepcr nonce"),
+		[]int{h}, [][]byte{[]byte("sepcr job nonce")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "rec-pal" {
-		t.Fatalf("name %q", name)
+	if len(names) != 1 || names[0] != "rec-pal" {
+		t.Fatalf("names %q", names)
 	}
 }
-
-var errNotSePCR = &net.AddrError{Err: "not a sePCR challenge"}

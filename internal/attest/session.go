@@ -55,8 +55,8 @@ func (v *Verifier) verifyBatchEntry(q *tpm.BatchQuote, entry int, log Log, nonce
 }
 
 // approveSePCRLog replays a sePCR event log against a quoted composite and
-// returns the approved PAL name — the common trailing half of
-// VerifySePCRQuote and the batched paths.
+// returns the approved PAL name — the common trailing half of the
+// stateless and sessionful paths.
 func (v *Verifier) approveSePCRLog(log Log, composite tpm.Digest) (string, error) {
 	var value tpm.Digest
 	for _, e := range log {

@@ -127,8 +127,12 @@ type Result struct {
 	// Slices and Resumes count scheduling slices and hardware resumes
 	// (recommended-hardware sessions only).
 	Slices, Resumes int
-	// Quote is the attestation generated after the run, when requested.
+	// Quote is the dynamic PCR attestation of a SEA session, when
+	// requested.
 	Quote *tpm.Quote
+	// Batch is the sePCR attestation of a recommended-hardware run, when
+	// requested: a batch quote of one.
+	Batch *tpm.BatchQuote
 	// Log is the measurement log matching the quote.
 	Log attest.Log
 }
@@ -187,8 +191,10 @@ func (s *System) AttestLegacy(p *PAL, nonce []byte) (string, *Result, error) {
 
 // RunRecommended executes the PAL under the proposed architecture:
 // SLAUNCH with a SECB, hardware context switches at the given preemption
-// quantum (0 = run to completion), concurrent with the legacy OS. The
-// returned result carries a verified sePCR quote.
+// quantum (0 = run to completion), concurrent with the legacy OS. With a
+// nonce the result carries the sePCR attestation as a batch quote of one
+// (VerifyRecommended checks it); without one the register is freed
+// unquoted. A failed run returns its sePCR and pages before reporting.
 func (s *System) RunRecommended(p *PAL, input []byte, quantum time.Duration, nonce []byte) (*Result, error) {
 	if s.SKSM == nil {
 		return nil, ErrNoRecommendedHardware
@@ -198,9 +204,9 @@ func (s *System) RunRecommended(p *PAL, input []byte, quantum time.Duration, non
 		return nil, err
 	}
 	secb.Input = input
-	core := s.palCore()
 	sw := sim.StartStopwatch(s.Machine.Clock)
-	if err := s.SKSM.RunToCompletion(core, secb); err != nil {
+	if err := s.SKSM.RunToCompletion(s.PALCore(), secb); err != nil {
+		s.reclaim(secb)
 		return nil, err
 	}
 	res := &Result{
@@ -212,18 +218,35 @@ func (s *System) RunRecommended(p *PAL, input []byte, quantum time.Duration, non
 		Log:        attest.Log{{PCR: -1, Description: p.Name, Measurement: p.Measurement()}},
 	}
 	if nonce != nil {
-		q, err := s.SKSM.QuoteAfterExit(secb, nonce)
-		if err != nil {
-			return nil, err
-		}
-		res.Quote = q
-	} else if err := s.Machine.TPM().FreeSePCR(secb.SePCRHandle); err != nil {
+		res.Batch, err = s.SKSM.QuoteBatchAfterExit([]*sksm.SECB{secb}, [][]byte{nonce}, nonce, 0)
+	} else {
+		err = s.Machine.TPM().FreeSePCR(secb.SePCRHandle)
+	}
+	if err != nil {
+		s.reclaim(secb)
 		return nil, err
 	}
 	if err := s.SKSM.Release(secb); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// reclaim returns what a failed recommended run holds, the way the PAL
+// service does: a suspended (faulted or preempted) PAL is SKILLed, which
+// frees its sePCR with the kill marker; a finished PAL's register still
+// parked in Quote is freed unquoted; and the SECB's pages go back to the
+// OS.
+func (s *System) reclaim(secb *sksm.SECB) {
+	switch secb.State {
+	case sksm.StateSuspend:
+		if s.SKSM.SKILL(secb) != nil {
+			return
+		}
+	case sksm.StateDone:
+		_ = s.Machine.TPM().FreeSePCR(secb.SePCRHandle)
+	}
+	_ = s.SKSM.Release(secb)
 }
 
 // PALCore picks the core PALs run on: core 1 when available (core 0 stays
@@ -236,18 +259,15 @@ func (s *System) PALCore() *cpu.CPU {
 	return s.Machine.CPUs[0]
 }
 
-// palCore is the internal alias RunRecommended uses.
-func (s *System) palCore() *cpu.CPU { return s.PALCore() }
-
-// VerifyRecommended validates a result's sePCR quote against the system's
-// verifier, returning the approved PAL name.
+// VerifyRecommended validates a result's sePCR attestation (its batch of
+// one) against the system's verifier, returning the approved PAL name.
 func (s *System) VerifyRecommended(p *PAL, res *Result, nonce []byte) (string, error) {
 	if s.Verifier == nil {
 		return "", errors.New("core: no TPM, no attestation")
 	}
-	if res.Quote == nil {
+	if res.Batch == nil {
 		return "", errors.New("core: result carries no quote")
 	}
 	s.Verifier.Approve(p.Name, p.Measurement())
-	return s.Verifier.VerifySePCRQuote(s.Cert, res.Quote, res.Log, nonce)
+	return s.Verifier.VerifyBatchedQuote(s.Cert, res.Batch, 0, res.Log, nonce)
 }

@@ -87,6 +87,66 @@ func TestSystemRecommendedRoundTrip(t *testing.T) {
 	}
 }
 
+// quoteFault fails every TPM_Quote, standing in for a chip glitch at the
+// signature.
+type quoteFault struct{}
+
+func (quoteFault) TPMCommand(name string) (time.Duration, error) {
+	if name == "TPM_Quote" {
+		return 0, errors.New("injected quote fault")
+	}
+	return 0, nil
+}
+
+// TestRecommendedFailuresReclaimResources: a run that fails after SLAUNCH —
+// the PAL faults, or its quote does — hands its sePCR and its pages back,
+// so the bank and the allocator return to their pre-call levels.
+func TestRecommendedFailuresReclaimResources(t *testing.T) {
+	sys, err := NewSystem(fastRecommended())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, err := CompilePAL("hello", helloSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := CompilePAL("faulty", "svc 99\nldi r0, 0\nsvc 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs, pages := sys.SKSM.FreeSePCRs(), sys.Kernel.Alloc.FreePages()
+	check := func(what string) {
+		t.Helper()
+		if got := sys.SKSM.FreeSePCRs(); got != regs {
+			t.Errorf("after %s: %d free sePCRs, want %d", what, got, regs)
+		}
+		if got := sys.Kernel.Alloc.FreePages(); got != pages {
+			t.Errorf("after %s: %d free pages, want %d", what, got, pages)
+		}
+	}
+
+	if _, err := sys.RunRecommended(faulty, nil, 0, []byte("n1")); err == nil {
+		t.Fatal("faulting PAL reported success")
+	}
+	check("PAL fault")
+
+	sys.Machine.InstallFaults(quoteFault{})
+	if _, err := sys.RunRecommended(hello, nil, 0, []byte("n2")); err == nil {
+		t.Fatal("run with a failing quote reported success")
+	}
+	check("quote fault")
+
+	sys.Machine.InstallFaults(nil)
+	res, err := sys.RunRecommended(hello, nil, 0, []byte("n3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.VerifyRecommended(hello, res, []byte("n3")); err != nil {
+		t.Fatal(err)
+	}
+	check("clean run")
+}
+
 func TestRecommendedOnStockHardwareFails(t *testing.T) {
 	sys, err := NewSystem(fastProfile())
 	if err != nil {

@@ -92,7 +92,8 @@ func runWorkload(t *testing.T, profiled bool) (runResult, *prof.CPUProfiler) {
 	if err := mg.RunToCompletion(core, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mg.QuoteAfterExit(s, []byte("nonce")); err != nil {
+	nonce := []byte("nonce")
+	if _, err := mg.QuoteBatchAfterExit([]*sksm.SECB{s}, [][]byte{nonce}, nonce, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := mg.Release(s); err != nil {

@@ -12,16 +12,15 @@ import (
 	"minimaltcb/internal/tpm"
 )
 
-// The pipelined quote batcher decouples quote generation from the per-job
-// machine-lock round trip. Without it every job pays one TPM_Quote — one
-// AIK RSA signature — under the machine mutex (the §5.4.5 arbitration
-// stand-in). With it, each machine runs one batcher goroutine: workers
-// whose PALs finished execution hand their parked registers to the
-// batcher, which collects up to Batch.MaxSize of them (lingering at most
-// Batch.MaxWait for stragglers) and attests the whole set with a single
-// TPM_SEPCR_QuoteBatch — one signature over the Merkle root of every
-// job's composite. Each worker gets back its leaf's inclusion proof and
-// verifies it lock-free, in parallel, exactly like the one-shot path.
+// The pipelined quote batcher is the service's one attestation path: each
+// machine runs one batcher goroutine, and workers whose PALs finished
+// execution hand their parked registers to it. The batcher collects up to
+// Batch.MaxSize of them (lingering at most Batch.MaxWait for stragglers)
+// and attests the whole set with a single TPM_SEPCR_QuoteBatch under the
+// machine mutex (the §5.4.5 arbitration stand-in) — one AIK signature
+// over the Merkle root of every job's composite. With MaxSize <= 1 every
+// flush is a batch of one. Each worker gets back its leaf's inclusion
+// proof and verifies it lock-free, in parallel with other jobs.
 //
 // The batcher also owns the machine's quote session: the first flush
 // opens one (one extra AIK signature and one verifier-side RSA verify),
@@ -32,16 +31,14 @@ import (
 // BatchPolicy configures the per-machine quote batcher.
 type BatchPolicy struct {
 	// MaxSize bounds how many jobs one batch quote covers. Values <= 1
-	// disable batching: every job quotes individually, byte-identical to
-	// the pre-batching pipeline.
+	// make every flush a batch of one: one signature per job and no
+	// linger timer.
 	MaxSize int
 	// MaxWait bounds how long the batcher lingers for stragglers after
 	// the first job arrives; the timer never delays a full batch. Zero
 	// defaults to 200µs.
 	MaxWait time.Duration
 }
-
-func (p BatchPolicy) enabled() bool { return p.MaxSize > 1 }
 
 // DefaultBatchPolicy is what palservd enables with -quote-batch.
 func DefaultBatchPolicy() BatchPolicy {
@@ -87,9 +84,9 @@ func (s *Service) quoteBatched(m *machine, t *task, p *core.PAL, res *JobResult,
 }
 
 // batcher is the per-machine collection loop. One goroutine per machine:
-// the first arrival starts the MaxWait linger timer, a full batch
-// flushes immediately, and channel close (service shutdown) flushes
-// whatever was collected before exiting.
+// the first arrival starts the MaxWait linger timer (unless MaxSize <= 1,
+// which flushes it alone), a full batch flushes immediately, and channel
+// close (service shutdown) flushes whatever was collected before exiting.
 func (s *Service) batcher(m *machine) {
 	defer s.batchWg.Done()
 	maxSize := s.cfg.Batch.MaxSize
@@ -99,20 +96,22 @@ func (s *Service) batcher(m *machine) {
 			return
 		}
 		items := []*quoteItem{first}
-		timer := time.NewTimer(s.cfg.Batch.MaxWait)
-	collect:
-		for len(items) < maxSize {
-			select {
-			case it, ok := <-m.batchCh:
-				if !ok {
+		if maxSize > 1 {
+			timer := time.NewTimer(s.cfg.Batch.MaxWait)
+		collect:
+			for len(items) < maxSize {
+				select {
+				case it, ok := <-m.batchCh:
+					if !ok {
+						break collect
+					}
+					items = append(items, it)
+				case <-timer.C:
 					break collect
 				}
-				items = append(items, it)
-			case <-timer.C:
-				break collect
 			}
+			timer.Stop()
 		}
-		timer.Stop()
 		s.flushBatch(m, items)
 	}
 }
@@ -120,11 +119,12 @@ func (s *Service) batcher(m *machine) {
 // flushBatch signs one batch under a single machine-lock acquisition:
 // lazily open the quote session, one TPM_SEPCR_QuoteBatch over every
 // collected register, release the SECBs, then fan the entries back to
-// the waiting workers. On a failed batch every register is freed
-// unquoted (the TPM's injection point sits before the signature, so
-// failed batches leave registers parked in Quote) and every job gets
-// the same retryable error — with its verifier nonce unconsumed, the
-// supervisor retry can reuse it.
+// the waiting workers. The session opens inside the first job's quote
+// span, so its TPM command joins the trace that waited for it. On a
+// failed batch every register is freed unquoted (the TPM's injection
+// point sits before the signature, so failed batches leave registers
+// parked in Quote) and every job gets the same retryable error — with
+// its verifier nonce unconsumed, the supervisor retry can reuse it.
 func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 	sys := m.sys
 	n := len(items)
@@ -137,9 +137,6 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 	batchNonce := s.nextNonce()
 
 	m.mu.Lock()
-	if m.session == nil {
-		s.openQuoteSession(m)
-	}
 	spans := make([]*obs.Span, n)
 	for i, it := range items {
 		spans[i] = s.tracer.StartSpan(it.t.root.Context(), "quote", "pipeline")
@@ -149,6 +146,9 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 		}
 	}
 	prevCtx := m.scope.Swap(spans[0].Context())
+	if m.session == nil {
+		s.openQuoteSession(m)
+	}
 	sw := sim.StartStopwatch(sys.Machine.Clock)
 	q, qerr := sys.SKSM.QuoteBatchAfterExit(secbs, nonces, batchNonce, m.sessID)
 	elapsed := sw.Elapsed()
@@ -173,9 +173,12 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 		}
 		sp.EndVirt(sys.Machine.Clock.Now())
 	}
+	for range items {
+		s.metrics.releaseOne() // every register is Free again
+	}
 	m.mu.Unlock()
 	for range items {
-		s.releaseSlot() // every register is Free again
+		s.wakeAdmission()
 	}
 
 	// The amortized accounting is the point: each job is charged its
@@ -229,11 +232,11 @@ func (s *Service) openQuoteSession(m *machine) {
 	m.sessID = grant.ID
 }
 
-// verifyBatched is the batched VERIFY stage: check this job's inclusion
-// proof against the signed root (over the session's HMAC channel when
-// one is open), replay the event log, and consume the per-job nonce.
-// Pure public-key/hash work — no machine lock, so it overlaps other
-// jobs' execution exactly like the one-shot verify.
+// verifyBatched is the VERIFY stage: check this job's inclusion proof
+// against the signed root (over the session's HMAC channel when one is
+// open), replay the event log, and consume the per-job nonce. Pure
+// public-key/hash work — no machine lock, so it overlaps other jobs'
+// execution.
 func (s *Service) verifyBatched(m *machine, t *task, p *core.PAL, res *JobResult, out quoteOutcome) error {
 	sys := m.sys
 	if !t.deadline.IsZero() && time.Now().After(t.deadline) {

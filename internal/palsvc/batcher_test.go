@@ -127,10 +127,9 @@ func (f *retryableQuoteFault) TPMCommand(name string) (time.Duration, error) {
 	return 0, nil
 }
 
-// TestBatchedQuoteFaultRetries mirrors the one-shot chaos contract: an
-// injected TPM_Quote fault fails the whole batch retryably, frees every
-// register (no leaks), and the supervisor retries carry every job to
-// completion.
+// TestBatchedQuoteFaultRetries: an injected TPM_Quote fault fails the
+// whole batch retryably, frees every register (no leaks), and the
+// supervisor retries carry every job to completion.
 func TestBatchedQuoteFaultRetries(t *testing.T) {
 	s := newTestService(t, Config{
 		Retry: RetryPolicy{MaxAttempts: 6},
@@ -155,28 +154,24 @@ func TestBatchedQuoteFaultRetries(t *testing.T) {
 	}
 }
 
-// TestBatchingDisabledKeepsOneShotPath pins the zero-value contract: no
-// batcher goroutines, BatchSize absent from results and stats, and one
-// signature per job.
+// TestBatchingDisabledKeepsOneShotPath pins the zero-value contract: every
+// job is attested as a batch of one, so it reports BatchSize 1 and spends
+// one signature of its own.
 func TestBatchingDisabledKeepsOneShotPath(t *testing.T) {
 	s := newTestService(t, Config{})
-	for _, m := range s.machines {
-		if m.batchCh != nil {
-			t.Fatal("batch channel exists with batching disabled")
-		}
-	}
 	results := runBatchLoad(t, s, 6)
 	for i, res := range results {
 		if res == nil || res.Err != nil {
 			t.Fatalf("job %d: %v", i, res)
 		}
-		if res.BatchSize != 0 {
-			t.Fatalf("job %d batch size %d on the one-shot path", i, res.BatchSize)
+		if res.BatchSize != 1 {
+			t.Fatalf("job %d batch size %d, want 1", i, res.BatchSize)
 		}
 	}
 	m := s.Metrics()
-	if m.QuoteBatches != 0 || m.BatchedJobs != 0 {
-		t.Fatalf("batch counters moved: %+v", m)
+	if m.QuoteBatches != m.Completed || m.BatchedJobs != m.Completed || m.MaxBatchSize != 1 {
+		t.Fatalf("batches=%d batched_jobs=%d max=%d for %d jobs, want one batch of one each",
+			m.QuoteBatches, m.BatchedJobs, m.MaxBatchSize, m.Completed)
 	}
 	if m.QuoteSigns != m.Completed {
 		t.Fatalf("quote_signs=%d completed=%d, want one signature per job", m.QuoteSigns, m.Completed)
@@ -184,7 +179,8 @@ func TestBatchingDisabledKeepsOneShotPath(t *testing.T) {
 }
 
 // TestBatchSizeOnWire checks the wire protocol carries the batch size and
-// that an unbatched response stays byte-compatible (no batch_size key).
+// that an unattested (NoAttest) response stays byte-compatible (no
+// batch_size key).
 func TestBatchSizeOnWire(t *testing.T) {
 	resp := WireResponse{OK: true, VerifiedAs: "hello"}
 	out, err := json.Marshal(&resp)
@@ -192,7 +188,7 @@ func TestBatchSizeOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(out), "batch_size") {
-		t.Fatalf("unbatched response leaks batch_size: %s", out)
+		t.Fatalf("unattested response leaks batch_size: %s", out)
 	}
 	// Legacy compat the other way: a response without the field decodes
 	// to BatchSize 0, and one with it round-trips.
@@ -205,24 +201,6 @@ func TestBatchSizeOnWire(t *testing.T) {
 	var back WireResponse
 	if err := json.Unmarshal(out, &back); err != nil || back.BatchSize != 5 {
 		t.Fatalf("round trip: %v, batch=%d", err, back.BatchSize)
-	}
-}
-
-// TestBatchingDisabledAllocFree pins the cost batching adds to the
-// one-shot hot path when disabled: the routing check is a nil compare
-// and the sign counter allocates nothing.
-func TestBatchingDisabledAllocFree(t *testing.T) {
-	var m metrics
-	if n := testing.AllocsPerRun(200, m.noteSign); n != 0 {
-		t.Fatalf("noteSign allocates %v per call", n)
-	}
-	p := BatchPolicy{}
-	if n := testing.AllocsPerRun(200, func() {
-		if p.enabled() {
-			t.Fatal("zero policy enabled")
-		}
-	}); n != 0 {
-		t.Fatalf("policy check allocates %v per call", n)
 	}
 }
 

@@ -57,8 +57,7 @@ type JobResult struct {
 	// retried retryable failures (Config.Retry).
 	Attempts int
 	// BatchSize is the number of jobs the quote covering this one
-	// attested (Config.Batch); 0 when the job quoted one-shot or skipped
-	// attestation.
+	// attested (Config.Batch); 0 when the job skipped attestation.
 	BatchSize int
 	// Trace is the trace the job's spans were recorded under — propagated
 	// from Job.Trace or freshly minted. Zero when tracing is off.

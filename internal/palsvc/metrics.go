@@ -66,11 +66,12 @@ type Metrics struct {
 	MaxSePCROccupancy int `json:"sepcr_occupancy_max"`
 
 	// Quote-batching effectiveness: QuoteBatches counts signed batch
-	// quotes, BatchedJobs the jobs those batches covered, MaxBatchSize
-	// the largest batch signed, and QuoteSigns the AIK signatures spent
-	// in the quote stage — one per one-shot quote, one per batch, so
-	// QuoteSigns << BatchedJobs is the amortization working. All zero
-	// (and absent from the wire) when batching is disabled.
+	// quotes, BatchedJobs the attested jobs those batches covered,
+	// MaxBatchSize the largest batch signed, and QuoteSigns the AIK
+	// signatures spent in the quote stage — one per batch, so QuoteSigns
+	// << BatchedJobs is the amortization working. Every attested job is
+	// counted; with Batch.MaxSize <= 1 each batch is a batch of one.
+	// All zero (and absent from the wire) until a job is attested.
 	QuoteBatches uint64 `json:"quote_batches,omitempty"`
 	BatchedJobs  uint64 `json:"batched_jobs,omitempty"`
 	MaxBatchSize int    `json:"max_batch_size,omitempty"`
@@ -100,7 +101,7 @@ type metrics struct {
 	rejQueueFull, rejBank, rejShed          uint64
 	completed, failed, deadlineEx           uint64
 	retried, quarantines                    uint64
-	batches, batchedJobs, quoteSigns        uint64
+	batches, batchedJobs                    uint64
 	maxBatch                                int
 	occupancy, maxOccupancy                 int
 	queueWait, arbWait, exec, quote, verify sim.Sample
@@ -180,21 +181,12 @@ func (m *metrics) noteBatch(n int, ok bool) {
 	m.mu.Lock()
 	m.batches++
 	m.batchedJobs += uint64(n)
-	m.quoteSigns++
 	if n > m.maxBatch {
 		m.maxBatch = n
 	}
 	m.mu.Unlock()
 	m.hooks.batchesC.Inc()
 	m.hooks.batchJobsC.Add(float64(n))
-	m.hooks.signsC.Inc()
-}
-
-// noteSign records the one AIK signature a one-shot quote spends.
-func (m *metrics) noteSign() {
-	m.mu.Lock()
-	m.quoteSigns++
-	m.mu.Unlock()
 	m.hooks.signsC.Inc()
 }
 
@@ -273,7 +265,7 @@ func (s *Service) Metrics() Metrics {
 		QuoteBatches:      m.batches,
 		BatchedJobs:       m.batchedJobs,
 		MaxBatchSize:      m.maxBatch,
-		QuoteSigns:        m.quoteSigns,
+		QuoteSigns:        m.batches,
 		SePCRCapacity:     s.bank,
 		SePCROccupancy:    m.occupancy,
 		MaxSePCROccupancy: m.maxOccupancy,

@@ -68,7 +68,7 @@ func (s *Service) bindRegistry(r *obs.Registry) {
 		quarantines: r.Counter("palsvc_machine_quarantines_total", "Replica quarantine trips after repeated consecutive faults."),
 		batchesC:    r.Counter("palsvc_quote_batches_total", "Batch quotes signed (one AIK signature each)."),
 		batchJobsC:  r.Counter("palsvc_quote_batched_jobs_total", "Jobs attested inside batch quotes."),
-		signsC:      r.Counter("palsvc_quote_signs_total", "AIK signatures spent in the quote stage (one per one-shot quote, one per batch)."),
+		signsC:      r.Counter("palsvc_quote_signs_total", "AIK signatures spent in the quote stage (one per batch)."),
 
 		queueH:  stage("queue_wait", "wall"),
 		arbH:    stage("arb_wait", "wall"),

@@ -143,6 +143,17 @@ func TestTracedJobSpans(t *testing.T) {
 	if len(byName["TPM_Quote"]) == 0 {
 		t.Fatalf("no TPM_Quote span (have %v)", names(recs))
 	}
+	// The machine's first flush opens its quote session on behalf of this
+	// job, so the session-open command belongs to the job's trace, nested
+	// under its quote span rather than rooting an orphan.
+	if len(byName["TPM_Quote_SessionOpen"]) != 1 {
+		t.Fatalf("session-open spans = %d, want 1 (have %v)", len(byName["TPM_Quote_SessionOpen"]), names(recs))
+	}
+	open, quote := byName["TPM_Quote_SessionOpen"][0], byName["quote"][0]
+	if open.Trace != root.Trace || open.Parent != quote.ID {
+		t.Fatalf("session open in trace %v under span %d, want trace %v under quote span %d",
+			open.Trace, open.Parent, root.Trace, quote.ID)
+	}
 
 	// sePCR life cycle: Exclusive recorded before Quote, same handle,
 	// both carrying wall and virtual durations.

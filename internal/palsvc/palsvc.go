@@ -119,11 +119,11 @@ type Config struct {
 	// escape hatch palservd exposes as -block-compile=false. The zero
 	// value keeps the tier on (the CPU default).
 	DisableBlockCompile bool
-	// Batch, when MaxSize > 1, enables the per-machine pipelined quote
-	// batcher (batcher.go): completed jobs are attested in batches of up
-	// to MaxSize with one AIK signature over a Merkle root, verified over
-	// a per-machine quote session. The zero value keeps the one-shot
-	// quote path, byte-identical to the pre-batching pipeline.
+	// Batch configures the per-machine quote batcher (batcher.go) every
+	// attested job goes through: completed jobs are attested in batches
+	// of up to MaxSize with one AIK signature over a Merkle root,
+	// verified over a per-machine quote session. The zero value attests
+	// each job as a batch of one — one signature per job.
 	Batch BatchPolicy
 	// Audit, when non-nil, records every trust-relevant lifecycle event —
 	// launch measurements, sePCR transitions, seal/unseal decisions, PAL
@@ -191,11 +191,10 @@ type machine struct {
 	// assembly — the level LeakCheck expects once all jobs drain.
 	basePages int
 
-	// Quote-batching state (nil/zero when Config.Batch is disabled).
-	// batchCh feeds the machine's batcher goroutine; session and sessID
-	// are the lazily-opened quote session, touched only by that goroutine
-	// (workers receive the session over the outcome channel, so the
-	// channel send orders every access).
+	// Quote-batching state. batchCh feeds the machine's batcher
+	// goroutine; session and sessID are the lazily-opened quote session,
+	// touched only by that goroutine (workers receive the session over
+	// the outcome channel, so the channel send orders every access).
 	batchCh chan *quoteItem
 	session *attest.Session
 	sessID  uint64
@@ -349,15 +348,15 @@ func New(cfg Config) (*Service, error) {
 		cfg.Audit.SetSigner(s.machines[0].sys.Machine.TPM())
 		s.auditRec = cfg.Audit.Recorder(nil, -1)
 	}
-	if cfg.Batch.enabled() {
-		if s.cfg.Batch.MaxWait <= 0 {
-			s.cfg.Batch.MaxWait = 200 * time.Microsecond
-		}
-		for _, m := range s.machines {
-			m.batchCh = make(chan *quoteItem, cfg.Batch.MaxSize)
-			s.batchWg.Add(1)
-			go s.batcher(m)
-		}
+	if s.cfg.Batch.MaxWait <= 0 {
+		s.cfg.Batch.MaxWait = 200 * time.Microsecond
+	}
+	for _, m := range s.machines {
+		// Room for one batch of hand-offs while the batcher signs the
+		// previous one.
+		m.batchCh = make(chan *quoteItem, max(cfg.Batch.MaxSize, 1))
+		s.batchWg.Add(1)
+		go s.batcher(m)
 	}
 	s.bindRegistry(cfg.Registry)
 	cfg.SLO.Bind(cfg.Registry, "palsvc")
@@ -444,9 +443,7 @@ func (s *Service) Close() {
 	// the batch channels close — no worker can send on a closed channel.
 	s.wg.Wait()
 	for _, m := range s.machines {
-		if m.batchCh != nil {
-			close(m.batchCh)
-		}
+		close(m.batchCh)
 	}
 	s.batchWg.Wait()
 }
@@ -647,10 +644,12 @@ func (s *Service) admit(t *task) (*machine, error) {
 	}
 }
 
-// releaseSlot returns a job's admission slot to the bank and wakes one
-// waiter.
-func (s *Service) releaseSlot() {
-	s.metrics.releaseOne()
+// wakeAdmission wakes one admission waiter after a register came free.
+// Callers return the job's slot (metrics.releaseOne) while still holding
+// m.mu — before the freed register is visible to tryReserve, or a racing
+// admission counts it twice and occupancy overshoots the bank — and wake
+// only after dropping m.mu, so the woken probe's TryLock can succeed.
+func (s *Service) wakeAdmission() {
 	select {
 	case s.freed <- struct{}{}:
 	default:
@@ -715,8 +714,9 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 	if err != nil {
 		m.scope.Swap(prevCtx)
 		execSp.Attr("error", err.Error()).EndVirt(sys.Machine.Clock.Now())
+		s.metrics.releaseOne()
 		m.mu.Unlock()
-		s.releaseSlot()
+		s.wakeAdmission()
 		s.noteMachineFault(m)
 		return fmt.Errorf("palsvc: allocating SECB: %w", err)
 	}
@@ -757,8 +757,9 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 		sys.SKSM.Job = prof.JobInfo{}
 		m.scope.Swap(prevCtx)
 		execSp.Attr("error", runErr.Error()).EndVirt(sys.Machine.Clock.Now())
+		s.metrics.releaseOne()
 		m.mu.Unlock()
-		s.releaseSlot()
+		s.wakeAdmission()
 		if errors.Is(runErr, ErrDeadlineExceeded) {
 			// The job ran out of budget; the machine did nothing wrong.
 			return runErr
@@ -782,7 +783,6 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 
 	if t.job.NoAttest {
 		err := s.freeUnquoted(m, t, secb)
-		s.releaseSlot()
 		if err != nil {
 			s.noteMachineFault(m)
 			return fmt.Errorf("palsvc: freeing sePCR: %w", err)
@@ -796,7 +796,6 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 		// parked in Quote forever: free it unquoted, exactly like the
 		// NoAttest path, so the bank recovers even though the job lost.
 		ferr := s.freeUnquoted(m, t, secb)
-		s.releaseSlot()
 		if ferr != nil {
 			s.noteMachineFault(m)
 			return fmt.Errorf("palsvc: freeing sePCR after deadline: %w", ferr)
@@ -804,74 +803,9 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 		return fmt.Errorf("%w: before quote", ErrDeadlineExceeded)
 	}
 
-	if m.batchCh != nil {
-		// Batched attestation: hand the parked register to the machine's
-		// batcher and verify the returned inclusion proof (batcher.go).
-		return s.quoteBatched(m, t, p, res, secb)
-	}
-
-	// QUOTE — back under the machine lock for the TPM command.
-	nonce := s.nextNonce()
-	m.mu.Lock()
-	quoteSp := s.tracer.StartSpan(rctx, "quote", "pipeline")
-	if quoteSp != nil {
-		quoteSp.Virt(sys.Machine.Clock.Now())
-	}
-	prevCtx = m.scope.Swap(quoteSp.Context())
-	swq := sim.StartStopwatch(sys.Machine.Clock)
-	q, qerr := sys.SKSM.QuoteAfterExit(secb, nonce)
-	res.QuoteGen = swq.Elapsed()
-	if qerr != nil {
-		// A failed quote leaves the register parked in Quote (injected
-		// TPM faults fire before the signature): free it unquoted so the
-		// bank recovers before the supervisor retries the job.
-		_ = sys.Machine.TPM().FreeSePCR(secb.SePCRHandle)
-	}
-	relErr := sys.SKSM.Release(secb)
-	m.scope.Swap(prevCtx)
-	if qerr != nil {
-		quoteSp.Attr("error", qerr.Error())
-	}
-	if quoteSp != nil {
-		quoteSp.EndVirt(sys.Machine.Clock.Now())
-	}
-	m.mu.Unlock()
-	s.releaseSlot() // the register is Free again
-	s.metrics.observeQuote(res.QuoteGen)
-	if qerr != nil {
-		s.noteMachineFault(m)
-		return fmt.Errorf("palsvc: quoting: %w", qerr)
-	}
-	if relErr != nil {
-		s.noteMachineFault(m)
-		return fmt.Errorf("palsvc: releasing SECB: %w", relErr)
-	}
-	s.metrics.noteSign()
-	s.noteMachineOK(m)
-
-	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
-		// Expired between quote and verify: the register is already Free,
-		// so only the job's outcome is lost, not capacity.
-		return fmt.Errorf("%w: before verify", ErrDeadlineExceeded)
-	}
-
-	// VERIFY — pure public-key cryptography, no platform access: runs
-	// concurrently with other jobs' execution. The memoized verifier
-	// makes the repeated-tenant case cheap.
-	vStart := time.Now()
-	verifySp := s.tracer.StartSpan(rctx, "verify", "pipeline")
-	sys.Verifier.Approve(t.job.Name, p.Measurement())
-	log := attest.Log{{PCR: -1, Description: t.job.Name, Measurement: p.Measurement()}}
-	name, verr := sys.Verifier.VerifySePCRQuote(sys.Cert, q, log, nonce)
-	res.Verify = time.Since(vStart)
-	s.metrics.observeVerify(res.Verify)
-	if verr != nil {
-		verifySp.Attr("error", verr.Error()).End()
-		return fmt.Errorf("palsvc: quote verification: %w", verr)
-	}
-	verifySp.Attr("verified_as", name).End()
-	res.VerifiedAs = name
-	return nil
+	// QUOTE + VERIFY: hand the parked register to the machine's batcher
+	// and verify the returned inclusion proof (batcher.go).
+	return s.quoteBatched(m, t, p, res, secb)
 }
 
 // runBounded drives the PAL to completion like sksm.RunToCompletion, but
@@ -895,8 +829,9 @@ func (s *Service) runBounded(m *machine, t *task, secb *sksm.SECB) error {
 }
 
 // freeUnquoted returns a finished-but-unattested PAL's resources: the
-// sePCR via TPM_SEPCR_Free (§5.4.3) and the SECB pages via Release. Used
-// by NoAttest jobs and by deadline expiries between execute and quote.
+// sePCR via TPM_SEPCR_Free (§5.4.3), the SECB pages via Release, and the
+// job's admission slot. Used by NoAttest jobs and by deadline expiries
+// between execute and quote.
 func (s *Service) freeUnquoted(m *machine, t *task, secb *sksm.SECB) error {
 	m.mu.Lock()
 	prev := m.scope.Swap(t.root.Context())
@@ -905,7 +840,9 @@ func (s *Service) freeUnquoted(m *machine, t *task, secb *sksm.SECB) error {
 		err = rerr
 	}
 	m.scope.Swap(prev)
+	s.metrics.releaseOne()
 	m.mu.Unlock()
+	s.wakeAdmission()
 	return err
 }
 

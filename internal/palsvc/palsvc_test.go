@@ -120,10 +120,12 @@ func TestImageCacheHits(t *testing.T) {
 	if m.CacheHits != 4 {
 		t.Fatalf("cache hits %d, want 4", m.CacheHits)
 	}
-	// Every verification after the first reuses the memoized AIK-cert
-	// check.
-	if m.VerifyMemoHits == 0 {
-		t.Fatal("verifier memo never hit")
+	// The first job opened the machine's quote session (one RSA verify
+	// of the certificate chain); every job since verified over the
+	// session's HMAC channel, so the steady state is RSA-free.
+	if m.VerifyMemoMisses != 1 || m.VerifyMemoHits != 0 {
+		t.Fatalf("verifier memo hits=%d misses=%d, want only the session's one miss",
+			m.VerifyMemoHits, m.VerifyMemoMisses)
 	}
 }
 
@@ -254,6 +256,12 @@ func TestAdmitRejectWhenBankExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
+	// Probe only once the slow job holds the register: the two workers
+	// race for the bank, so an earlier probe can get the sePCR first and
+	// the slow job itself is the one rejected.
+	for s.Metrics().Admitted == 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 	var sawReject bool
 	for time.Now().Before(deadline) && !sawReject {
 		res, err := s.Run(Job{Name: "hello", Source: helloSource})

@@ -193,9 +193,9 @@ type WireResponse struct {
 	// supervisor spent on the job (1 = no retries).
 	Attempts int `json:"attempts,omitempty"`
 	// BatchSize mirrors JobResult.BatchSize: how many jobs shared the
-	// quote that attested this one. Absent (0) when the server quoted
-	// one-shot or predates batching — old clients ignore the field by the
-	// protocol's unknown-field contract.
+	// quote that attested this one. Absent (0) when the job skipped
+	// attestation or the server predates batching — old clients ignore
+	// the field by the protocol's unknown-field contract.
 	BatchSize int `json:"batch_size,omitempty"`
 	// Backend is the backend address that served the request when it was
 	// routed through a cluster front-end (cmd/palrouter); empty when the

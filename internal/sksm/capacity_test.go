@@ -30,7 +30,7 @@ func TestFreeSePCRsTracksBankState(t *testing.T) {
 		t.Fatalf("after SFREE: FreeSePCRs = %d, want 2 (register parked in Quote state)", got)
 	}
 
-	if _, err := mg.QuoteAfterExit(s, []byte("capacity nonce")); err != nil {
+	if _, err := quoteOne(mg, s, []byte("capacity nonce")); err != nil {
 		t.Fatal(err)
 	}
 	if got := mg.FreeSePCRs(); got != 3 {

@@ -56,7 +56,7 @@ func TestLaunchFailureRollsBackAndReleasesPages(t *testing.T) {
 	if reason, err := mg.RunSlice(core, s2); err != nil || reason != cpu.StopHalt {
 		t.Fatalf("relaunch after injected fault: %v %v", reason, err)
 	}
-	if _, err := mg.QuoteAfterExit(s2, []byte("n")); err != nil {
+	if _, err := quoteOne(mg, s2, []byte("n")); err != nil {
 		t.Fatal(err)
 	}
 	if err := mg.Release(s2); err != nil {

@@ -507,31 +507,12 @@ func (mg *Manager) RunToCompletion(c *cpu.CPU, s *SECB) error {
 	return nil
 }
 
-// QuoteAfterExit generates the attestation for a completed PAL from
-// untrusted code, using the sePCR handle the PAL reported (§5.4.3). The
-// caller releases the SECB's pages to the OS afterwards.
-func (mg *Manager) QuoteAfterExit(s *SECB, nonce []byte) (*tpm.Quote, error) {
-	if s.State != StateDone {
-		return nil, fmt.Errorf("%w: quote of %v SECB", ErrBadState, s.State)
-	}
-	var q *tpm.Quote
-	v0 := mg.Kernel.Machine.Clock.Now()
-	err := mg.traced("QuoteAfterExit", func() error {
-		var err error
-		q, err = mg.Kernel.Machine.TPM().QuoteSePCR(s.SePCRHandle, nonce)
-		return err
-	}, obs.Int("sepcr", s.SePCRHandle))
-	if mg.Prof != nil && err == nil {
-		mg.Prof.NoteQuote(s.Measurement, mg.Kernel.Machine.Clock.Now()-v0)
-	}
-	return q, err
-}
-
-// QuoteBatchAfterExit generates one batched attestation covering several
-// completed PALs: every SECB's sePCR becomes a Merkle leaf and the AIK
-// signs the root once (tpm.QuoteSePCRBatch). All SECBs are validated Done
-// before any register is consumed — a rejected or failed batch leaves
-// every register attestable on retry. nonces[i] is the per-job verifier
+// QuoteBatchAfterExit generates the attestation for completed PALs from
+// untrusted code, using the sePCR handles the PALs reported (§5.4.3):
+// every SECB's sePCR becomes a Merkle leaf and the AIK signs the root once
+// (tpm.QuoteSePCRBatch); one PAL is a batch of one. All SECBs are
+// validated Done before any register is consumed — a rejected or failed
+// batch leaves every register attestable on retry. nonces[i] is the per-job verifier
 // nonce for secbs[i]; sessionID, when non-zero, names an open quote
 // session to MAC the batch under.
 func (mg *Manager) QuoteBatchAfterExit(secbs []*SECB, nonces [][]byte, batchNonce []byte, sessionID uint64) (*tpm.BatchQuote, error) {

@@ -46,11 +46,11 @@ func TestServiceExtendGoesToSePCR(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The attestation now covers the input, replayable by a verifier.
-	q, err := mg.QuoteAfterExit(s, []byte("n"))
+	q, err := quoteOne(mg, s, []byte("n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Composite != want {
+	if q.Entries[0].Composite != want {
 		t.Fatal("quote does not cover the extended input")
 	}
 }

@@ -70,6 +70,12 @@ func newManager(t *testing.T, sePCRs int) *Manager {
 	return mg
 }
 
+// quoteOne attests one finished PAL as a batch of one, the job nonce
+// doubling as the batch nonce.
+func quoteOne(mg *Manager, s *SECB, nonce []byte) (*tpm.BatchQuote, error) {
+	return mg.QuoteBatchAfterExit([]*SECB{s}, [][]byte{nonce}, nonce, 0)
+}
+
 // counterPAL yields `yields` times, incrementing r-state in memory across
 // suspensions, then outputs the count and exits.
 const counterPALSource = `
@@ -128,16 +134,16 @@ func TestLifecycleFirstLaunch(t *testing.T) {
 		t.Fatalf("region state %v %v", st, err)
 	}
 	// sePCR in Quote state, attestable from untrusted code.
-	q, err := mg.QuoteAfterExit(s, []byte("n"))
+	q, err := quoteOne(mg, s, []byte("n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tpm.VerifyQuote(mg.Kernel.Machine.TPM().AIKPublic(), q); err != nil {
+	if err := tpm.VerifyBatchQuote(mg.Kernel.Machine.TPM().AIKPublic(), q); err != nil {
 		t.Fatal(err)
 	}
 	// The quoted value is the PAL measurement chain.
 	want := tpm.ExtendDigest(tpm.Digest{}, tpm.Measure(im.Bytes))
-	if q.Composite != want {
+	if q.Entries[0].Composite != want {
 		t.Fatal("quoted sePCR is not the PAL measurement")
 	}
 	if err := mg.Release(s); err != nil {
@@ -397,7 +403,7 @@ func TestQuoteAfterExitRequiresDone(t *testing.T) {
 	im := pal.MustBuild("svc 1\nldi r0, 0\nsvc 0")
 	s, _ := mg.NewSECB(im, 0, 0)
 	mg.RunSlice(mg.Kernel.Machine.CPUs[1], s)
-	if _, err := mg.QuoteAfterExit(s, nil); !errors.Is(err, ErrBadState) {
+	if _, err := quoteOne(mg, s, []byte("n")); !errors.Is(err, ErrBadState) {
 		t.Fatalf("quote of suspended PAL: %v", err)
 	}
 	if err := mg.Release(s); !errors.Is(err, ErrBadState) {
@@ -460,7 +466,7 @@ func TestSealUnsealViaSePCRAcrossSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := s1.Output
-	if _, err := mg.QuoteAfterExit(s1, []byte("n")); err != nil { // frees sePCR
+	if _, err := quoteOne(mg, s1, []byte("n")); err != nil { // frees sePCR
 		t.Fatal(err)
 	}
 

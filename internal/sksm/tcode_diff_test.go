@@ -44,7 +44,7 @@ type jobResult struct {
 	out    []byte
 	status uint32
 	clock  time.Duration
-	quote  *tpm.Quote
+	quote  *tpm.BatchQuote
 }
 
 // runJobs executes `jobs` back-to-back launches of image on one core with
@@ -66,7 +66,7 @@ func runJobs(t *testing.T, image pal.Image, compile bool, jobs int, quantumInstr
 		if err := mg.RunToCompletion(core, s); err != nil {
 			t.Fatalf("job %d (compile=%v): %v", job, compile, err)
 		}
-		q, err := mg.QuoteAfterExit(s, []byte("tcode-diff"))
+		q, err := quoteOne(mg, s, []byte("tcode-diff"))
 		if err != nil {
 			t.Fatalf("job %d quote: %v", job, err)
 		}
@@ -185,7 +185,7 @@ stack:	.space 64
 		if err := mg.RunToCompletion(core, s); err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
-		if _, err := mg.QuoteAfterExit(s, []byte("n")); err != nil { // frees the sePCR
+		if _, err := quoteOne(mg, s, []byte("n")); err != nil { // frees the sePCR
 			t.Fatalf("job %d quote: %v", job, err)
 		}
 		if err := mg.Release(s); err != nil {

@@ -196,8 +196,7 @@ func (t *TPM) OpenQuoteSession(nonce []byte) (*QuoteSession, error) {
 // non-zero, must name an open session; the batch is then additionally
 // MACed under the session key.
 //
-// Failure atomicity mirrors the one-shot path's retry contract, batch-wide:
-// every register is validated to be in the Quote state BEFORE anything is
+// Failure atomicity is batch-wide: every register is validated to be in the Quote state BEFORE anything is
 // consumed, and the fault-injection point sits before the signature — a
 // failed batch leaves all N registers still in Quote, attestable on retry,
 // and no verifier nonce is burned.

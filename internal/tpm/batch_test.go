@@ -33,6 +33,12 @@ func quoteReady(t *testing.T, chip *TPM, n int) []BatchRequest {
 	return reqs
 }
 
+// quoteOne attests a single register the way every sePCR is attested: as
+// a batch of one, with the job nonce doubling as the batch nonce.
+func quoteOne(chip *TPM, h int, nonce []byte) (*BatchQuote, error) {
+	return chip.QuoteSePCRBatch([]BatchRequest{{Handle: h, Nonce: nonce}}, nonce, 0)
+}
+
 func TestQuoteBatchRoundTrip(t *testing.T) {
 	chip := sePCRTPM(t, 8)
 	reqs := quoteReady(t, chip, 5)
@@ -129,36 +135,22 @@ func TestQuoteBatchEmptyAndDuplicates(t *testing.T) {
 	}
 }
 
-// TestQuoteBatchOfOneEquivalence: a batch of one attests exactly what a
-// plain quote over the same register would — same composite, empty proof,
-// leaf == root — and both verify under the same AIK.
+// TestQuoteBatchOfOneEquivalence: a batch of one attests exactly what the
+// register holds — the composite is the register value, the proof is
+// empty, the root is the leaf — and verifies under the AIK, so a single
+// job needs no quote command of its own.
 func TestQuoteBatchOfOneEquivalence(t *testing.T) {
 	chip := sePCRTPM(t, 4)
-
-	// Two registers prepared identically (same PAL, same extend).
-	prep := func(owner int) int {
-		h, err := chip.AllocateSePCR(owner, Measure([]byte("same-pal")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := chip.ReleaseSePCR(h, owner); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	h1, h2 := prep(0), prep(1)
-	v1, _ := chip.SePCRValue(h1)
-	v2, _ := chip.SePCRValue(h2)
-	if v1 != v2 {
-		t.Fatal("identically prepared registers differ")
-	}
-
-	nonce := []byte("the-nonce")
-	plain, err := chip.QuoteSePCR(h1, nonce)
+	h, err := chip.AllocateSePCR(0, Measure([]byte("same-pal")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := chip.QuoteSePCRBatch([]BatchRequest{{Handle: h2, Nonce: nonce}}, []byte("bn"), 0)
+	if err := chip.ReleaseSePCR(h, 0); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := chip.SePCRValue(h)
+
+	batch, err := quoteOne(chip, h, []byte("the-nonce"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +158,8 @@ func TestQuoteBatchOfOneEquivalence(t *testing.T) {
 		t.Fatal("batch of one has wrong shape")
 	}
 	e := batch.Entries[0]
-	if e.Composite != plain.Composite {
-		t.Fatalf("batch composite %x != plain composite %x", e.Composite, plain.Composite)
+	if e.Handle != h || e.Composite != want {
+		t.Fatalf("entry (sePCR %d, %x), want (sePCR %d, %x)", e.Handle, e.Composite, h, want)
 	}
 	if len(e.Proof) != 0 {
 		t.Fatalf("single-leaf proof must be empty, got %d nodes", len(e.Proof))
@@ -175,11 +167,11 @@ func TestQuoteBatchOfOneEquivalence(t *testing.T) {
 	if batch.Root != BatchLeaf(e.Handle, e.Composite, e.Nonce) {
 		t.Fatal("single-leaf root must equal the leaf")
 	}
-	if err := VerifyQuote(chip.AIKPublic(), plain); err != nil {
-		t.Fatal(err)
-	}
 	if err := VerifyBatchQuote(chip.AIKPublic(), batch); err != nil {
 		t.Fatal(err)
+	}
+	if st, _ := chip.SePCRStateOf(h); st != SePCRFree {
+		t.Fatalf("sePCR %d = %v after batch of one, want Free", h, st)
 	}
 }
 
@@ -199,8 +191,7 @@ func (f *failOnce) TPMCommand(name string) (time.Duration, error) {
 
 // TestQuoteBatchFailureLeavesRegistersAttestable: a batch that fails
 // mid-flight consumes nothing — every register stays in Quote and the
-// retry succeeds. This is the batch-wide mirror of the one-shot path's
-// retry contract.
+// retry succeeds, which is what the service's supervisor retries rely on.
 func TestQuoteBatchFailureLeavesRegistersAttestable(t *testing.T) {
 	chip := sePCRTPM(t, 8)
 	reqs := quoteReady(t, chip, 3)

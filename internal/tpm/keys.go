@@ -10,8 +10,11 @@ import (
 // Key generation is the one genuinely expensive computation in the software
 // TPM: a 2048-bit RSA pair takes real CPU time. Experiments construct many
 // platforms with the same seed, so generated pairs are cached per
-// (seed, bits). The cache also keeps experiments deterministic: the same
-// seed always names the same SRK and AIK.
+// (seed, bits). The cache is also what keeps experiments deterministic:
+// within one process the same seed always names the same SRK and AIK.
+// Across processes it does not — rsa.GenerateKey consumes its randomness
+// source unpredictably (randutil.MaybeReadByte), so the seeded stream
+// alone does not fix the key pair.
 var (
 	keyCacheMu sync.Mutex
 	keyCache   = map[keyCacheKey]keyPair{}
@@ -33,7 +36,7 @@ func keysForSeed(seed uint64, bits int) (srk, aik *rsa.PrivateKey, err error) {
 	if pair, ok := keyCache[k]; ok {
 		return pair.srk, pair.aik, nil
 	}
-	// Domain-separated deterministic streams for the two keys.
+	// Domain-separated seeded streams for the two keys.
 	srk, err = rsa.GenerateKey(sim.NewRNG(seed^0x53524b00), bits)
 	if err != nil {
 		return nil, nil, err

@@ -7,13 +7,15 @@ import (
 
 // Quote is the TPM's signed statement about platform state: an RSA
 // signature by the AIK over the composite digest of the selected PCRs and a
-// verifier-chosen nonce (§2.1.1). The same structure carries sePCR quotes,
-// with the handle recorded so the verifier knows which register was signed.
+// verifier-chosen nonce (§2.1.1). The same structure carries sePCR set
+// quotes (sepcrset.go); single sePCRs are attested by batch quotes
+// (batch.go).
 type Quote struct {
-	// Selection lists the static/dynamic PCR indices covered (nil for an
-	// sePCR quote).
+	// Selection lists the static/dynamic PCR indices covered, or the
+	// sePCR handles for a set quote.
 	Selection Selection
-	// SePCRHandle is the sePCR covered, or -1 for a PCR quote.
+	// SePCRHandle is the first sePCR of a set quote, or -1 for a PCR
+	// quote.
 	SePCRHandle int
 	// Composite is the digest the signature covers.
 	Composite Digest

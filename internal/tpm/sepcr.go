@@ -12,13 +12,15 @@ import (
 //
 //	Free      -> (SLAUNCH allocates, resets, extends)  -> Exclusive
 //	Exclusive -> (SFREE: PAL terminated)               -> Quote
-//	Quote     -> (TPM_Quote generated / TPM_SEPCR_Free) -> Free
+//	Quote     -> (TPM_SEPCR_QuoteBatch / TPM_SEPCR_Free) -> Free
 //	Exclusive -> (SKILL: extend kill marker)           -> Free
 //
 // While Exclusive, only the bound PAL — identified to the TPM by the CPU
 // hardware, modeled here as an owner token — may Extend, Seal to, or Unseal
 // under the register. Untrusted code may quote a register in the Quote
 // state, which is how attestations get generated after PAL exit (§5.4.3).
+// The quote is always a batch quote (batch.go); one register is a batch of
+// one.
 
 // SePCRState is the life-cycle state of one sePCR.
 type SePCRState uint8
@@ -277,47 +279,6 @@ func (t *TPM) KillSePCR(handle int) error {
 	t.lifeFree(handle)
 	t.auditEvent("sepcr_kill", handle, p.value)
 	return nil
-}
-
-// QuoteSePCR generates an attestation over a sePCR in the Quote state.
-// Untrusted code calls this after PAL exit, passing the handle the PAL
-// output (§5.4.3). The register transitions to Free afterwards.
-func (t *TPM) QuoteSePCR(handle int, nonce []byte) (*Quote, error) {
-	if handle < 0 || handle >= len(t.sePCRs) {
-		return nil, fmt.Errorf("%w: %d", ErrSePCRHandle, handle)
-	}
-	p := &t.sePCRs[handle]
-	if p.state != SePCRQuote {
-		return nil, fmt.Errorf("%w: sePCR %d is %v, quote needs Quote state",
-			ErrSePCRState, handle, p.state)
-	}
-	// The injection point sits before the signature: an injected quote
-	// failure leaves the register in Quote, still attestable on retry.
-	if err := t.inject("TPM_Quote"); err != nil {
-		return nil, err
-	}
-	sp := t.cmdSpan("TPM_Quote").Attr("mode", "sepcr").AttrInt("handle", handle)
-	sig, err := memoSignPKCS1v15(t.aik, quoteDigest(p.value, nonce))
-	if err != nil {
-		err = fmt.Errorf("tpm: sePCR quote signature: %w", err)
-		t.endCmd(sp, err)
-		return nil, err
-	}
-	q := &Quote{
-		SePCRHandle: handle,
-		Composite:   p.value,
-		Nonce:       append([]byte(nil), nonce...),
-		Signature:   sig,
-	}
-	p.state = SePCRFree
-	p.value = Digest{}
-	t.busCommand(40+len(nonce), len(sig)+40)
-	t.charge(t.profile.QuoteLatency, t.profile.Jitter)
-	t.endCmd(sp, nil)
-	t.lifeClose(handle, obs.Attr{Key: "quoted", Val: "true"})
-	t.lifeFree(handle)
-	t.auditEvent("sepcr_quote", handle, q.Composite)
-	return q, nil
 }
 
 // FreeSePCR implements TPM_SEPCR_Free (§5.4.3): untrusted code releases a

@@ -85,7 +85,7 @@ func TestSePCRSealUnsealAcrossHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	chip.ReleaseSePCR(h1, 0)
-	if _, err := chip.QuoteSePCR(h1, []byte("n")); err != nil {
+	if _, err := quoteOne(chip, h1, []byte("n")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,7 +139,7 @@ func TestSePCRLifecycleStates(t *testing.T) {
 	h, _ := chip.AllocateSePCR(0, Measure([]byte("pal")))
 
 	// Cannot quote while Exclusive (§5.4.3).
-	if _, err := chip.QuoteSePCR(h, nil); !errors.Is(err, ErrSePCRState) {
+	if _, err := quoteOne(chip, h, []byte("n")); !errors.Is(err, ErrSePCRState) {
 		t.Fatalf("quote in Exclusive: %v", err)
 	}
 	// Cannot TPM_SEPCR_Free while Exclusive.
@@ -159,15 +159,15 @@ func TestSePCRLifecycleStates(t *testing.T) {
 		t.Fatalf("extend in Quote state: %v", err)
 	}
 	// Quote from untrusted code works, then register frees.
-	q, err := chip.QuoteSePCR(h, []byte("nonce"))
+	q, err := quoteOne(chip, h, []byte("nonce"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyQuote(chip.AIKPublic(), q); err != nil {
+	if err := VerifyBatchQuote(chip.AIKPublic(), q); err != nil {
 		t.Fatalf("sePCR quote rejected: %v", err)
 	}
-	if q.SePCRHandle != h {
-		t.Fatalf("quote handle %d, want %d", q.SePCRHandle, h)
+	if q.Entries[0].Handle != h {
+		t.Fatalf("quote handle %d, want %d", q.Entries[0].Handle, h)
 	}
 	st, _ = chip.SePCRStateOf(h)
 	if st != SePCRFree {
@@ -257,7 +257,7 @@ func TestSePCRBadHandles(t *testing.T) {
 		if err := chip.FreeSePCR(h); !errors.Is(err, ErrSePCRHandle) {
 			t.Fatalf("Free(%d): %v", h, err)
 		}
-		if _, err := chip.QuoteSePCR(h, nil); !errors.Is(err, ErrSePCRHandle) {
+		if _, err := quoteOne(chip, h, []byte("n")); !errors.Is(err, ErrSePCRHandle) {
 			t.Fatalf("Quote(%d): %v", h, err)
 		}
 	}
