@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 // Compare mode: `benchjson -compare old.json new.json` diffs two committed
@@ -19,7 +20,9 @@ import (
 // one. Benchmarks whose baseline runs under the ns floor are exempt from
 // the ns/op gate entirely: at nanosecond scale and a fixed iteration
 // count, wall-time percentages are dominated by scheduler jitter, while
-// their B/op and allocs/op stay exact and remain gated.
+// their B/op and allocs/op stay exact and remain gated. Custom metrics in
+// virtual time (units vms_* and vns_*) are deterministic, so one present on
+// both sides fails the gate if it differs at all.
 
 // Delta is one benchmark's old→new movement.
 type Delta struct {
@@ -31,6 +34,20 @@ type Delta struct {
 	NsRegressPct     float64 // positive = slower
 	BytesRegressPct  float64
 	AllocsRegressPct float64
+	// VirtualDrift lists the virtual-time metrics present on both sides
+	// whose values differ, by unit.
+	VirtualDrift []MetricDrift
+}
+
+// MetricDrift is one custom metric's old→new change.
+type MetricDrift struct {
+	Unit     string
+	Old, New float64
+}
+
+// virtualUnit reports whether a custom metric is measured in virtual time.
+func virtualUnit(unit string) bool {
+	return strings.HasPrefix(unit, "vms_") || strings.HasPrefix(unit, "vns_")
 }
 
 // CompareReports matches results by name and computes regressions. Bench
@@ -63,6 +80,12 @@ func CompareReports(old, new *Report) (deltas []Delta, onlyOld, onlyNew []string
 		if o.AllocsPerOp != nil && n.AllocsPerOp != nil {
 			d.AllocsRegressPct = regressPct(float64(*o.AllocsPerOp), float64(*n.AllocsPerOp))
 		}
+		for unit, ov := range o.Metrics {
+			if nv, ok := n.Metrics[unit]; ok && virtualUnit(unit) && nv != ov {
+				d.VirtualDrift = append(d.VirtualDrift, MetricDrift{Unit: unit, Old: ov, New: nv})
+			}
+		}
+		sort.Slice(d.VirtualDrift, func(i, j int) bool { return d.VirtualDrift[i].Unit < d.VirtualDrift[j].Unit })
 		deltas = append(deltas, d)
 	}
 	for _, o := range old.Results {
@@ -102,7 +125,7 @@ func runCompare(w io.Writer, oldPath, newPath string, maxNsPct, maxAllocPct, nsF
 	deltas, onlyOld, onlyNew := CompareReports(old, new)
 
 	bad := 0
-	fmt.Fprintf(w, "benchjson compare: %s -> %s (fail past +%.0f%% ns/op, +%.0f%% B/op or allocs/op)\n",
+	fmt.Fprintf(w, "benchjson compare: %s -> %s (fail past +%.0f%% ns/op, +%.0f%% B/op or allocs/op, or on any vms_/vns_ change)\n",
 		oldPath, newPath, maxNsPct, maxAllocPct)
 	fmt.Fprintf(w, "%-40s %14s %14s %14s\n", "benchmark", "ns/op", "B/op", "allocs/op")
 	for _, d := range deltas {
@@ -121,6 +144,10 @@ func runCompare(w io.Writer, oldPath, newPath string, maxNsPct, maxAllocPct, nsF
 		}
 		fmt.Fprintf(w, "%-40s %+13.1f%% %+13.1f%% %+13.1f%%%s\n",
 			d.Name, d.NsRegressPct, d.BytesRegressPct, d.AllocsRegressPct, verdict)
+		for _, v := range d.VirtualDrift {
+			fmt.Fprintf(w, "  %-38s %g -> %g REGRESSION(virtual time)\n", v.Unit, v.Old, v.New)
+			bad++
+		}
 	}
 	for _, name := range onlyOld {
 		fmt.Fprintf(w, "%-40s MISSING from %s (removed benchmarks can hide regressions)\n", name, newPath)

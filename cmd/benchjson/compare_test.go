@@ -165,3 +165,38 @@ func TestRunCompareNsFloorExemptsNoisyMicrobenchmarks(t *testing.T) {
 		t.Fatalf("sub-floor ns jitter flagged as regression:\n%s", out.String())
 	}
 }
+
+func TestRunCompareGatesVirtualTimeExactly(t *testing.T) {
+	withMetrics := func(m map[string]float64) Report {
+		return Report{Results: []Result{{Name: "BenchmarkFigure2", NsPerOp: 100, Metrics: m}}}
+	}
+	cases := []struct {
+		name     string
+		old, new map[string]float64
+		bad      int
+	}{
+		{"identical", map[string]float64{"vms_palgen": 25.0894, "vns_amd_vmenter": 558}, map[string]float64{"vms_palgen": 25.0894, "vns_amd_vmenter": 558}, 0},
+		{"vms drift", map[string]float64{"vms_palgen": 25.0894}, map[string]float64{"vms_palgen": 25.0895}, 1},
+		{"vns drift down", map[string]float64{"vns_amd_vmenter": 558}, map[string]float64{"vns_amd_vmenter": 557}, 1},
+		{"wall metric drift", map[string]float64{"ns/instr": 3.5, "signs_per_job": 0.125}, map[string]float64{"ns/instr": 9, "signs_per_job": 1}, 0},
+		{"one side only", map[string]float64{"vms_palgen": 25.0894}, map[string]float64{"vms_paluse": 1}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			oldP := writeReport(t, dir, "old.json", withMetrics(tc.old))
+			newP := writeReport(t, dir, "new.json", withMetrics(tc.new))
+			var out strings.Builder
+			bad, err := runCompare(&out, oldP, newP, 50, 25, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bad != tc.bad {
+				t.Fatalf("bad = %d, want %d; output:\n%s", bad, tc.bad, out.String())
+			}
+			if tc.bad > 0 && !strings.Contains(out.String(), "REGRESSION(virtual time)") {
+				t.Errorf("output missing REGRESSION(virtual time):\n%s", out.String())
+			}
+		})
+	}
+}

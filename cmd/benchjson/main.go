@@ -9,10 +9,12 @@
 //
 // The parser accepts the standard benchmark result line,
 //
-//	BenchmarkName-8   1000   1234 ns/op   56 B/op   2 allocs/op
+//	BenchmarkName-8   1000   1234 ns/op   25.09 vms_palgen   56 B/op   2 allocs/op
 //
-// keeps the pkg: context lines that precede each block, and ignores
-// everything else (PASS/ok lines, logs).
+// keeps every b.ReportMetric value/unit pair beyond the standard columns
+// (vms_palgen, ns/instr, signs_per_job, …) in Result.Metrics, keeps the
+// pkg: context lines that precede each block, and ignores everything else
+// (PASS/ok lines, logs).
 package main
 
 import (
@@ -36,6 +38,8 @@ type Result struct {
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 	MBPerSec    float64 `json:"mb_per_s,omitempty"`
+	// Metrics holds the b.ReportMetric values, keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the document benchjson emits.
@@ -122,7 +126,7 @@ func Parse(r io.Reader) (*Report, error) {
 }
 
 // parseLine parses one "BenchmarkX-N  runs  v ns/op [v B/op] [v allocs/op]
-// [v MB/s]" line.
+// [v MB/s] [v unit]..." line.
 func parseLine(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
@@ -165,6 +169,13 @@ func parseLine(line string) (Result, bool) {
 		case "MB/s":
 			if f, err := strconv.ParseFloat(v, 64); err == nil {
 				res.MBPerSec = f
+			}
+		default:
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				if res.Metrics == nil {
+					res.Metrics = map[string]float64{}
+				}
+				res.Metrics[fields[i+1]] = f
 			}
 		}
 	}

@@ -92,3 +92,28 @@ func TestParseLineShapes(t *testing.T) {
 		t.Fatalf("procs suffix not stripped: %+v", res)
 	}
 }
+
+func TestParseKeepsCustomMetrics(t *testing.T) {
+	line := "BenchmarkFigure2-2   100   51234 ns/op   25.09 vms_palgen   3.5 ns/instr   0.125 signs_per_job   12 B/op   1 allocs/op"
+	res, ok := parseLine(line)
+	if !ok {
+		t.Fatalf("parseLine(%q) rejected the line", line)
+	}
+	want := map[string]float64{"vms_palgen": 25.09, "ns/instr": 3.5, "signs_per_job": 0.125}
+	if len(res.Metrics) != len(want) {
+		t.Fatalf("metrics = %v, want %v", res.Metrics, want)
+	}
+	for unit, v := range want {
+		if res.Metrics[unit] != v {
+			t.Errorf("metric %s = %v, want %v", unit, res.Metrics[unit], v)
+		}
+	}
+	if res.NsPerOp != 51234 || *res.BytesPerOp != 12 || *res.AllocsPerOp != 1 {
+		t.Errorf("standard columns lost next to custom metrics: %+v", res)
+	}
+
+	plain, _ := parseLine("BenchmarkX-16 100 5 ns/op 0 B/op 0 allocs/op")
+	if plain.Metrics != nil {
+		t.Errorf("a line with no custom metrics got %v", plain.Metrics)
+	}
+}

@@ -66,7 +66,7 @@ type backend struct {
 	lastHealth  palsvc.HealthInfo // most recent successful probe
 	lastStats   *palsvc.Metrics   // most recent stats snapshot
 	lastProbe   time.Time         // when lastHealth was taken
-	lat         sim.Sample        // router-measured end-to-end latency, this backend
+	lat         sim.Window        // router-measured end-to-end latency, this backend
 
 	// Routing counters (atomic: bumped on the request path, read by
 	// /metrics scrapes and /debug/cluster).
@@ -138,13 +138,6 @@ func (b *backend) observe(d time.Duration) {
 	b.mu.Lock()
 	b.lat.Add(d)
 	b.mu.Unlock()
-}
-
-// latency snapshots the per-backend latency distribution.
-func (b *backend) latency() palsvc.StageStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return palsvc.StageStatsOf(&b.lat)
 }
 
 // health returns the prober's last successful snapshot and its age.

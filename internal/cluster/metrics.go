@@ -23,7 +23,7 @@ type metrics struct {
 	downed   uint64 // backends drained after transport failures
 	drained  uint64 // backends drained on reported fleet-wide quarantine
 	rejoined uint64 // backends re-added to the ring after recovery
-	lat      sim.Sample
+	lat      sim.Window
 }
 
 func (m *metrics) observe(d time.Duration, ok bool) {
@@ -34,6 +34,17 @@ func (m *metrics) observe(d time.Duration, ok bool) {
 	}
 	m.lat.Add(d)
 	m.mu.Unlock()
+}
+
+// latencyOf snapshots a latency window guarded by mu: the window is copied
+// under mu and ranked after it is released, so the request path that takes
+// mu never waits on a sort.
+func latencyOf(mu *sync.Mutex, w *sim.Window) palsvc.StageStats {
+	c := new(sim.Window)
+	mu.Lock()
+	*c = *w
+	mu.Unlock()
+	return palsvc.StageStatsOf(c)
 }
 
 func (m *metrics) incStolen()   { m.mu.Lock(); m.stolen++; m.mu.Unlock() }
@@ -87,9 +98,9 @@ func (r *Router) Snapshot() Snapshot {
 		Downed:      m.downed,
 		Drained:     m.drained,
 		Rejoined:    m.rejoined,
-		Latency:     palsvc.StageStatsOf(&m.lat),
 	}
 	m.mu.Unlock()
+	snap.Latency = latencyOf(&m.mu, &m.lat)
 	snap.RingMembers = r.ring.Members()
 	for _, b := range r.backends {
 		b.mu.Lock()
@@ -99,10 +110,10 @@ func (r *Router) Snapshot() Snapshot {
 			ConsecFails: b.consecFails,
 			LastProbe:   b.lastProbe,
 			Health:      b.lastHealth,
-			Latency:     palsvc.StageStatsOf(&b.lat),
 			Stats:       b.lastStats,
 		}
 		b.mu.Unlock()
+		bs.Latency = latencyOf(&b.mu, &b.lat)
 		bs.InRing = r.ring.Has(b.addr)
 		bs.Routed = b.routed.Load()
 		bs.Stolen = b.stolen.Load()
@@ -164,10 +175,8 @@ func (r *Router) bindRegistry(reg *obs.Registry) {
 	obs.RegisterLatencyQuantiles(reg, "cluster_request_latency_seconds",
 		"Router-measured end-to-end request latency, by quantile.",
 		func() (p50, p95, p99, max float64) {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			ps := m.lat.Percentiles(50, 95, 99)
-			return ps[0].Seconds(), ps[1].Seconds(), ps[2].Seconds(), m.lat.Max().Seconds()
+			s := latencyOf(&m.mu, &m.lat)
+			return s.P50.Seconds(), s.P95.Seconds(), s.P99.Seconds(), s.Max.Seconds()
 		})
 
 	for _, b := range r.backends {

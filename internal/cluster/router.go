@@ -672,14 +672,12 @@ func (r *Router) ClusterHealth() palsvc.HealthInfo {
 	var out palsvc.HealthInfo
 	for _, b := range r.backends {
 		h, at := b.health()
-		state := b.State()
 		if at.IsZero() {
-			// Never successfully probed: count nothing but its existence.
-			if state == StateDown {
-				continue
-			}
+			// Never successfully probed: nothing is known, so it counts
+			// toward nothing.
 			continue
 		}
+		state := b.State()
 		out.Replicas += h.Replicas
 		out.QueueCap += h.QueueCap
 		if state == StateDown || state == StateDraining {
@@ -700,8 +698,9 @@ func (r *Router) ClusterHealth() palsvc.HealthInfo {
 // cannot be merged from summaries, so each stage reports the
 // observation-weighted mean of the backends' means, the max of maxes, and
 // weighted means of the percentile points — good enough for a dashboard,
-// with the exact router-measured end-to-end distribution available from
-// Snapshot/ /metrics. Backends never probed contribute nothing.
+// with the router-measured end-to-end distribution (exact over its last
+// sim.WindowSize requests) available from Snapshot/ /metrics. Backends
+// never probed contribute nothing.
 func (r *Router) ClusterStats() palsvc.Metrics {
 	var out palsvc.Metrics
 	var snaps []*palsvc.Metrics

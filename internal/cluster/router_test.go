@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"minimaltcb/internal/audit"
+	"minimaltcb/internal/obs"
 	"minimaltcb/internal/palsvc"
 )
 
@@ -14,7 +17,9 @@ import (
 func TestRouterAffinity(t *testing.T) {
 	sA, lA := startBackend(t, palsvc.Config{})
 	sB, lB := startBackend(t, palsvc.Config{})
-	r := newTestRouter(t, []string{lA.Addr().String(), lB.Addr().String()}, nil)
+	reg := obs.NewRegistry()
+	r := newTestRouter(t, []string{lA.Addr().String(), lB.Addr().String()},
+		func(c *Config) { c.Registry = reg })
 	addr := serveRouter(t, r)
 
 	cl, err := palsvc.Dial(addr, 5*time.Second)
@@ -62,6 +67,30 @@ func TestRouterAffinity(t *testing.T) {
 	snap := r.Snapshot()
 	if snap.Routed != runs || snap.RoutedOK != runs || snap.Stolen != 0 {
 		t.Errorf("snapshot routed=%d ok=%d stolen=%d, want %d/%d/0", snap.Routed, snap.RoutedOK, snap.Stolen, runs, runs)
+	}
+
+	// The router-measured latency: every answered run in the router's
+	// window and in its primary's, none in the other backend's, and the
+	// same window behind the /metrics quantiles.
+	if l := snap.Latency; l.N != runs || l.P50 <= 0 || l.P50 > l.Max {
+		t.Errorf("router latency %v, want %d observations", l, runs)
+	}
+	for _, b := range snap.Backends {
+		n := 0
+		if b.Addr == want[0] {
+			n = runs
+		}
+		if b.Latency.N != n {
+			t.Errorf("backend %s latency n=%d, want %d", b.Addr, b.Latency.N, n)
+		}
+	}
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	p99 := fmt.Sprintf(`cluster_request_latency_seconds{quantile="0.99"} %g`, snap.Latency.P99.Seconds())
+	if !strings.Contains(text.String(), p99) {
+		t.Errorf("/metrics lacks %q", p99)
 	}
 }
 
@@ -354,7 +383,9 @@ func TestRouterFailsOverDeadBackend(t *testing.T) {
 func TestClusterAggregation(t *testing.T) {
 	sA, lA := startBackend(t, palsvc.Config{})
 	sB, lB := startBackend(t, palsvc.Config{})
-	r := newTestRouter(t, []string{lA.Addr().String(), lB.Addr().String()}, nil)
+	reg := obs.NewRegistry()
+	r := newTestRouter(t, []string{lA.Addr().String(), lB.Addr().String()},
+		func(c *Config) { c.Registry = reg })
 	addr := serveRouter(t, r)
 
 	cl, err := palsvc.Dial(addr, 10*time.Second)

@@ -375,10 +375,10 @@ func RegisterTracerMetrics(reg *Registry, t *Tracer) {
 }
 
 // RegisterLatencyQuantiles exposes a latency distribution that lives
-// outside the registry (e.g. an exact sim.Sample) as one gauge family with
+// outside the registry (e.g. a sim.Window) as one gauge family with
 // a quantile label, sampled from fn at scrape time. Histograms are the
 // right tool when the registry owns the observations; this is for
-// components — like the cluster router — that already keep an exact sample
+// components — like the cluster router — that already keep a latency window
 // and want its p50/p95/p99/max on /metrics without double bookkeeping. fn
 // is called once per series per scrape, so it must be cheap and
 // lock-consistent per call (cross-quantile skew between two calls in one

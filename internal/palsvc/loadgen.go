@@ -301,14 +301,19 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 }
 
 // runClosedLoop is the original model: one goroutine per connection,
-// back-to-back requests, optional pacing. Tenants are assigned to
-// connections round-robin.
+// back-to-back requests, optional pacing. Tenants rotate across requests:
+// connection i sends tenants i, i+Clients, i+2·Clients, … (mod Tenants), so
+// every tenant runs whatever the ratio of connections to tenants.
 func runClosedLoop(cfg *LoadConfig, st *loadState, start time.Time) error {
 	var pace time.Duration
 	if cfg.Rate > 0 {
 		pace = time.Duration(float64(cfg.Clients) / cfg.Rate * float64(time.Second))
 	}
 	stop := start.Add(cfg.Duration)
+	reqs := make([]WireRequest, cfg.Tenants)
+	for t := range reqs {
+		reqs[t] = tenantJob(cfg, t)
+	}
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
@@ -322,14 +327,15 @@ func runClosedLoop(cfg *LoadConfig, st *loadState, start time.Time) error {
 			mu.Unlock()
 			break
 		}
-		req := tenantJob(cfg, i%cfg.Tenants)
 		wg.Add(1)
-		go func(cl *Client, req WireRequest) {
+		go func(cl *Client, next int) {
 			defer wg.Done()
 			defer cl.Close()
 			for time.Now().Before(stop) {
+				req := &reqs[next]
+				next = (next + cfg.Clients) % len(reqs)
 				t0 := time.Now()
-				resp, err := cl.Run(&req)
+				resp, err := cl.Run(req)
 				d := time.Since(t0)
 				st.record(req.Tenant, resp, err, d)
 				if err != nil {
@@ -341,7 +347,7 @@ func runClosedLoop(cfg *LoadConfig, st *loadState, start time.Time) error {
 					}
 				}
 			}
-		}(cl, req)
+		}(cl, i%len(reqs))
 	}
 	wg.Wait()
 	st.mu.Lock()
@@ -356,7 +362,9 @@ func runClosedLoop(cfg *LoadConfig, st *loadState, start time.Time) error {
 // runOpenLoop fires arrivals on a fixed per-tenant schedule and serves them
 // from a shared connection pool of cfg.Clients reused connections. An
 // arrival that cannot get a connection waits for one — and that wait counts
-// in its latency, because its clock starts at the *scheduled* arrival.
+// in its latency, because its clock starts at the *scheduled* arrival. The
+// tenants' pacers are staggered by interval/Tenants, so arrivals interleave
+// evenly instead of landing in bursts of Tenants.
 func runOpenLoop(cfg *LoadConfig, st *loadState, start time.Time) error {
 	perTenant := cfg.TenantRate
 	if perTenant <= 0 {
@@ -395,9 +403,11 @@ func runOpenLoop(cfg *LoadConfig, st *loadState, start time.Time) error {
 	var wg sync.WaitGroup
 	for t := 0; t < cfg.Tenants; t++ {
 		req := tenantJob(cfg, t)
+		phase := time.Duration(t) * interval / time.Duration(cfg.Tenants)
 		wg.Add(1)
 		go func(req WireRequest) {
 			defer wg.Done()
+			time.Sleep(phase)
 			tick := time.NewTicker(interval)
 			defer tick.Stop()
 			var inflight sync.WaitGroup

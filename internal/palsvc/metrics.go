@@ -13,7 +13,10 @@ import (
 // StageStats summarizes one pipeline stage's latency distribution. For the
 // Execute and QuoteGen stages the durations are virtual time on the
 // machine's sim clock; for QueueWait, ArbWait and Verify they are
-// wall-clock. JSON-encodable for the wire protocol's stats op.
+// wall-clock. N, Mean and Max cover the service's lifetime; P50, P95 and
+// P99 cover the stage's last sim.WindowSize observations, so summarizing a
+// stage costs the same however many jobs the service has run.
+// JSON-encodable for the wire protocol's stats op.
 type StageStats struct {
 	N    int           `json:"n"`
 	Mean time.Duration `json:"mean_ns"`
@@ -97,19 +100,26 @@ type Metrics struct {
 type metrics struct {
 	mu sync.Mutex
 
-	submitted, admitted, rejected           uint64
-	rejQueueFull, rejBank, rejShed          uint64
-	completed, failed, deadlineEx           uint64
-	retried, quarantines                    uint64
-	batches, batchedJobs                    uint64
-	maxBatch                                int
-	occupancy, maxOccupancy                 int
-	queueWait, arbWait, exec, quote, verify sim.Sample
+	submitted, admitted, rejected  uint64
+	rejQueueFull, rejBank, rejShed uint64
+	completed, failed, deadlineEx  uint64
+	retried, quarantines           uint64
+	batches, batchedJobs           uint64
+	maxBatch                       int
+	occupancy, maxOccupancy        int
+	stages                         stageWindows
 
 	// hooks is a value, not a pointer: its zero value holds nil instrument
 	// handles, and every obs handle method no-ops on nil, so a service
 	// built without a Registry pays only nil checks here.
 	hooks obsHooks
+}
+
+// stageWindows holds the per-stage latency windows. Metrics copies them
+// whole under metrics.mu and ranks the copy after unlocking, so the lock
+// every job takes is held for a fixed-size copy, never a sort.
+type stageWindows struct {
+	queueWait, arbWait, exec, quote, verify sim.Window
 }
 
 func (m *metrics) incSubmitted() {
@@ -192,43 +202,53 @@ func (m *metrics) noteBatch(n int, ok bool) {
 
 func (m *metrics) observeQueue(d time.Duration) {
 	m.mu.Lock()
-	m.queueWait.Add(d)
+	m.stages.queueWait.Add(d)
 	m.mu.Unlock()
 	m.hooks.queueH.Observe(d.Seconds())
 }
 
 func (m *metrics) observeArb(d time.Duration) {
 	m.mu.Lock()
-	m.arbWait.Add(d)
+	m.stages.arbWait.Add(d)
 	m.mu.Unlock()
 	m.hooks.arbH.Observe(d.Seconds())
 }
 
 func (m *metrics) observeExec(d time.Duration) {
 	m.mu.Lock()
-	m.exec.Add(d)
+	m.stages.exec.Add(d)
 	m.mu.Unlock()
 	m.hooks.execH.Observe(d.Seconds())
 }
 
 func (m *metrics) observeQuote(d time.Duration) {
 	m.mu.Lock()
-	m.quote.Add(d)
+	m.stages.quote.Add(d)
 	m.mu.Unlock()
 	m.hooks.quoteH.Observe(d.Seconds())
 }
 
 func (m *metrics) observeVerify(d time.Duration) {
 	m.mu.Lock()
-	m.verify.Add(d)
+	m.stages.verify.Add(d)
 	m.mu.Unlock()
 	m.hooks.verifyH.Observe(d.Seconds())
 }
 
-// stageOf summarizes a sample with one sort for all three ranks. The
+// latencies is what a StageStats summarizes: a sim.Window for the
+// service's and the router's running distributions, a sim.Sample for
+// RunLoad's whole-run report.
+type latencies interface {
+	N() int
+	Mean() time.Duration
+	Max() time.Duration
+	Percentiles(ps ...float64) []time.Duration
+}
+
+// stageOf summarizes a recorder with one sort for all three ranks. The
 // degenerate cases are well-defined (see sim.Sample.Percentiles): n=0
 // reports all zeros, n=1 reports Mean=P50=P95=P99=Max.
-func stageOf(s *sim.Sample) StageStats {
+func stageOf(s latencies) StageStats {
 	ps := s.Percentiles(50, 95, 99)
 	return StageStats{
 		N:    s.N(),
@@ -240,15 +260,16 @@ func stageOf(s *sim.Sample) StageStats {
 	}
 }
 
-// StageStatsOf summarizes a latency sample into the wire-encodable
+// StageStatsOf summarizes a latency window into the wire-encodable
 // StageStats form — exported so internal/cluster can report its
 // router-measured distributions in the same shape the service uses.
-func StageStatsOf(s *sim.Sample) StageStats { return stageOf(s) }
+func StageStatsOf(w *sim.Window) StageStats { return stageOf(w) }
 
 // Metrics returns a consistent snapshot of the service's counters, gauges
 // and latency distributions.
 func (s *Service) Metrics() Metrics {
 	m := s.metrics
+	w := new(stageWindows)
 	m.mu.Lock()
 	out := Metrics{
 		Submitted:         m.submitted,
@@ -269,13 +290,14 @@ func (s *Service) Metrics() Metrics {
 		SePCRCapacity:     s.bank,
 		SePCROccupancy:    m.occupancy,
 		MaxSePCROccupancy: m.maxOccupancy,
-		QueueWait:         stageOf(&m.queueWait),
-		ArbWait:           stageOf(&m.arbWait),
-		Execute:           stageOf(&m.exec),
-		QuoteGen:          stageOf(&m.quote),
-		Verify:            stageOf(&m.verify),
 	}
+	*w = m.stages
 	m.mu.Unlock()
+	out.QueueWait = stageOf(&w.queueWait)
+	out.ArbWait = stageOf(&w.arbWait)
+	out.Execute = stageOf(&w.exec)
+	out.QuoteGen = stageOf(&w.quote)
+	out.Verify = stageOf(&w.verify)
 	out.QueueDepth = len(s.queue)
 	out.CacheHits, out.CacheMisses = s.cache.stats()
 	for _, mc := range s.machines {

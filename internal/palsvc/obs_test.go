@@ -3,6 +3,7 @@ package palsvc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,8 +13,8 @@ import (
 )
 
 // TestStageStatsDegenerateCases pins the summary semantics for tiny
-// samples: empty reports zeros everywhere, one observation reports itself
-// at every rank, and no sample size panics.
+// windows: empty reports zeros everywhere, one observation reports itself
+// at every rank, and no window size panics.
 func TestStageStatsDegenerateCases(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	cases := []struct {
@@ -44,15 +45,111 @@ func TestStageStatsDegenerateCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var s sim.Sample
+			var w sim.Window
 			for _, d := range tc.obs {
-				s.Add(d)
+				w.Add(d)
 			}
-			got := stageOf(&s)
+			got := StageStatsOf(&w)
 			if got != tc.want {
-				t.Fatalf("stageOf = %+v, want %+v", got, tc.want)
+				t.Fatalf("StageStatsOf = %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestStageStatsBeyondWindow feeds a stage more than sim.WindowSize
+// observations: N, Mean and Max stay lifetime-exact, and the percentiles
+// are those of an exact sample of the last sim.WindowSize.
+func TestStageStatsBeyondWindow(t *testing.T) {
+	for _, n := range []int{sim.WindowSize + 1, 3*sim.WindowSize + 17, 10 * sim.WindowSize} {
+		var w sim.Window
+		var all, last sim.Sample
+		for i := 0; i < n; i++ {
+			// Descending, so the lifetime max is the first observation
+			// and the window's percentiles differ from the lifetime ones.
+			d := time.Duration(n-i) * time.Microsecond
+			w.Add(d)
+			all.Add(d)
+			if i >= n-sim.WindowSize {
+				last.Add(d)
+			}
+		}
+		ps := last.Percentiles(50, 95, 99)
+		want := StageStats{N: n, Mean: all.Mean(), P50: ps[0], P95: ps[1], P99: ps[2], Max: all.Max()}
+		if got := StageStatsOf(&w); got != want {
+			t.Fatalf("n=%d: StageStatsOf = %+v, want %+v", n, got, want)
+		}
+	}
+}
+
+// TestObserveDoesNotAllocate pins the per-job cost of stage bookkeeping:
+// recording an observation allocates nothing, with Prometheus hooks bound.
+func TestObserveDoesNotAllocate(t *testing.T) {
+	s := newTestService(t, Config{Registry: obs.NewRegistry()})
+	m := s.metrics
+	d := time.Duration(0)
+	for _, o := range []struct {
+		name    string
+		observe func(time.Duration)
+	}{
+		{"queue", m.observeQueue},
+		{"arb", m.observeArb},
+		{"exec", m.observeExec},
+		{"quote", m.observeQuote},
+		{"verify", m.observeVerify},
+	} {
+		if allocs := testing.AllocsPerRun(3*sim.WindowSize, func() {
+			d += time.Microsecond
+			o.observe(d)
+		}); allocs != 0 {
+			t.Errorf("observe%s allocated %.1f times per call", o.name, allocs)
+		}
+	}
+}
+
+// TestMetricsCostIndependentOfJobsServed pins that the stats snapshot does
+// not grow with the number of jobs a service has run: after sim.WindowSize
+// and after ten times as many observations per stage, Metrics allocates
+// the same number of times and about the same number of bytes.
+func TestMetricsCostIndependentOfJobsServed(t *testing.T) {
+	s := newTestService(t, Config{})
+	m := s.metrics
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			d := time.Duration(i%977) * time.Microsecond
+			m.observeQueue(d)
+			m.observeArb(d)
+			m.observeExec(d)
+			m.observeQuote(d)
+			m.observeVerify(d)
+		}
+	}
+	bytesPerCall := func() uint64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			s.Metrics()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	feed(sim.WindowSize)
+	atW := testing.AllocsPerRun(20, func() { s.Metrics() })
+	bytesAtW := bytesPerCall()
+	feed(9 * sim.WindowSize)
+	at10W := testing.AllocsPerRun(20, func() { s.Metrics() })
+	bytesAt10W := bytesPerCall()
+	if atW != at10W {
+		t.Fatalf("Metrics allocates %.1f times after %d observations but %.1f after %d",
+			atW, sim.WindowSize, at10W, 10*sim.WindowSize)
+	}
+	if bytesAt10W > bytesAtW*5/4 {
+		t.Fatalf("Metrics allocates %d B after %d observations but %d B after %d",
+			bytesAtW, sim.WindowSize, bytesAt10W, 10*sim.WindowSize)
+	}
+	if got := s.Metrics().Execute.N; got != 10*sim.WindowSize {
+		t.Fatalf("Execute.N = %d, want %d", got, 10*sim.WindowSize)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -92,13 +93,19 @@ func (s *Sample) Percentile(p float64) time.Duration {
 // sample yields all zeros, a single observation yields that value at every
 // rank, and p outside [0, 100] (including NaN) clamps to the extremes.
 func (s *Sample) Percentiles(ps ...float64) []time.Duration {
-	out := make([]time.Duration, len(ps))
-	if len(s.values) == 0 {
-		return out
-	}
 	sorted := make([]time.Duration, len(s.values))
 	copy(sorted, s.values)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return nearestRanks(sorted, ps)
+}
+
+// nearestRanks picks each p-th percentile out of ascending observations by
+// nearest rank, with the degenerate cases Sample.Percentiles documents.
+func nearestRanks(sorted []time.Duration, ps []float64) []time.Duration {
+	out := make([]time.Duration, len(ps))
+	if len(sorted) == 0 {
+		return out
+	}
 	for i, p := range ps {
 		switch {
 		case !(p > 0): // includes NaN
@@ -117,6 +124,59 @@ func (s *Sample) Percentiles(ps ...float64) []time.Duration {
 		}
 	}
 	return out
+}
+
+// WindowSize is how many recent observations a Window ranks: enough that
+// its p99 has 20 observations above it, and 16 KB of durations however long
+// the window runs.
+const WindowSize = 2048
+
+// Window is the fixed-size counterpart of Sample for long-running services,
+// whose Sample would grow with every observation. N, Mean and Max are exact
+// over the window's lifetime; percentiles are nearest-rank over the most
+// recent min(N, WindowSize) observations, so up to WindowSize observations
+// a Window reports exactly what a Sample would. Add is O(1) and never
+// allocates. The zero value is empty, and a Window holds no pointers, so
+// assigning one copies it: copy under the lock that guards the window and
+// rank the copy after releasing it.
+type Window struct {
+	n        int
+	sum, max time.Duration
+	ring     [WindowSize]time.Duration
+}
+
+// Add records one observation, overwriting the oldest once the window is
+// full.
+func (w *Window) Add(d time.Duration) {
+	if w.n == 0 || d > w.max {
+		w.max = d
+	}
+	w.ring[w.n%WindowSize] = d
+	w.n++
+	w.sum += d
+}
+
+// N returns the number of observations recorded over the window's lifetime.
+func (w *Window) N() int { return w.n }
+
+// Mean returns the lifetime mean, or 0 if empty.
+func (w *Window) Mean() time.Duration {
+	if w.n == 0 {
+		return 0
+	}
+	return w.sum / time.Duration(w.n)
+}
+
+// Max returns the lifetime maximum, or 0 if empty.
+func (w *Window) Max() time.Duration { return w.max }
+
+// Percentiles ranks the most recent min(N, WindowSize) observations by
+// nearest rank, with Sample.Percentiles' degenerate cases. It sorts a copy
+// of at most WindowSize values and leaves w unchanged.
+func (w *Window) Percentiles(ps ...float64) []time.Duration {
+	sorted := slices.Clone(w.ring[:min(w.n, WindowSize)])
+	slices.Sort(sorted)
+	return nearestRanks(sorted, ps)
 }
 
 // Millis formats a duration as fractional milliseconds with two decimals,

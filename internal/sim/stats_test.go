@@ -177,3 +177,129 @@ func TestMicrosFormatting(t *testing.T) {
 		t.Fatalf("Micros = %q, want 0.5580", got)
 	}
 }
+
+// windowRanks are the percentile ranks the Window tests compare, degenerate
+// ones included.
+var windowRanks = []float64{math.NaN(), -5, 0, 1, 50, 95, 99, 100, 150}
+
+// sameSummary reports whether w summarizes exactly like s.
+func sameSummary(w *Window, s *Sample) bool {
+	if w.N() != s.N() || w.Mean() != s.Mean() || w.Max() != s.Max() {
+		return false
+	}
+	wp, sp := w.Percentiles(windowRanks...), s.Percentiles(windowRanks...)
+	for i := range wp {
+		if wp[i] != sp[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: up to WindowSize observations, a Window is bit-identical to a
+// Sample fed the same values — negative durations and every degenerate rank
+// included.
+func TestWindowMatchesSampleUpToSize(t *testing.T) {
+	f := func(raw []int32) bool {
+		var w Window
+		var s Sample
+		for _, v := range raw {
+			w.Add(time.Duration(v))
+			s.Add(time.Duration(v))
+		}
+		return sameSummary(&w, &s)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := NewRNG(7)
+	var w Window
+	var s Sample
+	for i := 0; i < WindowSize; i++ {
+		d := time.Duration(rng.Intn(1_000_000))
+		w.Add(d)
+		s.Add(d)
+	}
+	if !sameSummary(&w, &s) {
+		t.Fatalf("full window differs from sample: n=%d mean=%v/%v max=%v/%v",
+			w.N(), w.Mean(), s.Mean(), w.Max(), s.Max())
+	}
+}
+
+// Past WindowSize observations, N, Mean and Max stay exact over the whole
+// lifetime while the percentiles equal a Sample of the last WindowSize.
+func TestWindowBeyondSize(t *testing.T) {
+	for _, n := range []int{WindowSize + 1, 2*WindowSize - 3, 10 * WindowSize} {
+		rng := NewRNG(uint64(n))
+		var w Window
+		var all Sample
+		vals := make([]time.Duration, n)
+		for i := range vals {
+			// A drifting distribution, so a window ranking stale or
+			// misplaced observations shows in its percentiles; the
+			// lifetime max sits early, long evicted from the window.
+			vals[i] = time.Duration(i*10 + rng.Intn(5000))
+			if i == 3 {
+				vals[i] = time.Hour
+			}
+			w.Add(vals[i])
+			all.Add(vals[i])
+		}
+		if w.N() != n || w.Mean() != all.Mean() || w.Max() != time.Hour {
+			t.Fatalf("n=%d: lifetime N/mean/max = %d/%v/%v, want %d/%v/%v",
+				n, w.N(), w.Mean(), w.Max(), n, all.Mean(), time.Hour)
+		}
+		var last Sample
+		for _, v := range vals[n-WindowSize:] {
+			last.Add(v)
+		}
+		wp, lp := w.Percentiles(windowRanks...), last.Percentiles(windowRanks...)
+		for i := range wp {
+			if wp[i] != lp[i] {
+				t.Fatalf("n=%d: rank %v = %v, want %v over the last %d", n, windowRanks[i], wp[i], lp[i], WindowSize)
+			}
+		}
+	}
+}
+
+func TestWindowEmptyAndCopy(t *testing.T) {
+	var w Window
+	if w.N() != 0 || w.Mean() != 0 || w.Max() != 0 {
+		t.Fatal("empty window must report zeros")
+	}
+	for i, v := range w.Percentiles(50, 95, 99) {
+		if v != 0 {
+			t.Fatalf("empty window rank %d = %v", i, v)
+		}
+	}
+	w.Add(3)
+	snap := w
+	w.Add(9)
+	if snap.N() != 1 || snap.Max() != 3 || snap.Percentiles(100)[0] != 3 {
+		t.Fatalf("copy shares state with the live window: n=%d max=%v", snap.N(), snap.Max())
+	}
+
+	// Ranking must not reorder the ring: the next Add after it still
+	// evicts the oldest observation.
+	var r Window
+	for i := WindowSize; i > 0; i-- {
+		r.Add(time.Duration(i))
+	}
+	r.Percentiles(50)
+	r.Add(0)
+	if got := r.Percentiles(100)[0]; got != WindowSize-1 {
+		t.Fatalf("after evicting the oldest (%d), the window's p100 = %v, want %d", WindowSize, got, WindowSize-1)
+	}
+}
+
+func TestWindowAddDoesNotAllocate(t *testing.T) {
+	var w Window
+	d := time.Duration(0)
+	if allocs := testing.AllocsPerRun(3*WindowSize, func() {
+		d += 7
+		w.Add(d)
+	}); allocs != 0 {
+		t.Fatalf("Window.Add allocated %.1f times per call", allocs)
+	}
+}
