@@ -7,9 +7,16 @@
 
 GO ?= go
 
-.PHONY: check build vet test race tcbbench loc bench benchcmp soak soak-short cluster-soak audit-verify
+.PHONY: check fmt build vet test race tcbbench loc bench benchcmp soak soak-short cluster-soak audit-verify
 
-check: build vet test race tcbbench benchcmp audit-verify soak-short
+check: fmt build vet test race tcbbench benchcmp audit-verify soak-short
+
+# fmt fails when gofmt would change any tracked .go file. It lists tracked
+# files only, so the benchmark's untracked .bench_build tree (its Go module
+# and build caches) is never scanned.
+fmt:
+	@out="$$(git ls-files '*.go' | xargs gofmt -l)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -83,7 +82,7 @@ type killableListener struct {
 	dead  bool
 }
 
-func newKillableListener(t *testing.T) *killableListener {
+func newKillableListener(t testing.TB) *killableListener {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -128,7 +127,7 @@ func (k *killableListener) Kill() {
 
 // startBackend brings up a real palsvc Service behind a killable loopback
 // listener and returns both.
-func startBackend(t *testing.T, cfg palsvc.Config) (*palsvc.Service, *killableListener) {
+func startBackend(t testing.TB, cfg palsvc.Config) (*palsvc.Service, *killableListener) {
 	t.Helper()
 	if cfg.Profile.Name == "" {
 		cfg.Profile = testProfile(4)
@@ -145,7 +144,7 @@ func startBackend(t *testing.T, cfg palsvc.Config) (*palsvc.Service, *killableLi
 
 // newTestRouter builds a Router over the given backends with fast probe
 // settings; mutate may tweak the config before New.
-func newTestRouter(t *testing.T, addrs []string, mutate func(*Config)) *Router {
+func newTestRouter(t testing.TB, addrs []string, mutate func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{
 		Backends:      addrs,
@@ -166,7 +165,7 @@ func newTestRouter(t *testing.T, addrs []string, mutate func(*Config)) *Router {
 }
 
 // serveRouter exposes a router on loopback TCP, the way tenants reach it.
-func serveRouter(t *testing.T, r *Router) string {
+func serveRouter(t testing.TB, r *Router) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -206,8 +205,8 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out after %v waiting for %s", d, what)
 }
 
-// stubBackend is a hand-rolled wire server with canned health/stats
-// answers: the shape of a foreign or pre-health palservd build.
+// stubBackend is a wire server with canned health/stats answers: the shape
+// of a foreign or pre-health palservd build.
 type stubBackend struct {
 	l  net.Listener
 	mu sync.Mutex
@@ -225,7 +224,7 @@ func startStub(t *testing.T, health *palsvc.HealthInfo, stats palsvc.Metrics) *s
 	}
 	s := &stubBackend{l: l, health: health, stats: stats}
 	t.Cleanup(func() { l.Close() })
-	go s.serve()
+	go func() { _ = palsvc.ServeConns(l, 0, s.answer) }()
 	return s
 }
 
@@ -235,38 +234,6 @@ func (s *stubBackend) setHealth(h *palsvc.HealthInfo) {
 	s.mu.Lock()
 	s.health = h
 	s.mu.Unlock()
-}
-
-func (s *stubBackend) serve() {
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			return
-		}
-		go func(c net.Conn) {
-			defer c.Close()
-			for {
-				body, err := palsvc.ReadFrame(c)
-				if err != nil {
-					return
-				}
-				var req palsvc.WireRequest
-				resp := &palsvc.WireResponse{}
-				if err := json.Unmarshal(body, &req); err != nil {
-					resp.Err = err.Error()
-				} else {
-					resp = s.answer(&req)
-				}
-				out, err := json.Marshal(resp)
-				if err != nil {
-					return
-				}
-				if err := palsvc.WriteFrame(c, out); err != nil {
-					return
-				}
-			}
-		}(conn)
-	}
 }
 
 func (s *stubBackend) answer(req *palsvc.WireRequest) *palsvc.WireResponse {

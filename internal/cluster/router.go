@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -173,51 +172,11 @@ func (r *Router) Placement(source string) []string {
 	return r.ring.Successors(RouteKey(source), 1+r.cfg.StealDepth)
 }
 
-// Serve accepts tenant connections until the listener closes, mirroring
-// palsvc.Service.Serve: one goroutine per connection, connTimeout bounding
-// each request read/response write.
+// Serve accepts tenant connections until the listener closes, through the
+// same connection loop as a palservd (palsvc.ServeConns), and answers
+// each request with the router's dispatch.
 func (r *Router) Serve(l net.Listener, connTimeout time.Duration) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go func(c net.Conn) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					_ = c.Close()
-				}
-			}()
-			defer c.Close()
-			r.serveConn(c, connTimeout)
-		}(conn)
-	}
-}
-
-func (r *Router) serveConn(c net.Conn, connTimeout time.Duration) {
-	for {
-		if connTimeout > 0 {
-			_ = c.SetDeadline(time.Now().Add(connTimeout))
-		}
-		body, err := palsvc.ReadFrame(c)
-		if err != nil {
-			return
-		}
-		var req palsvc.WireRequest
-		resp := &palsvc.WireResponse{}
-		if err := json.Unmarshal(body, &req); err != nil {
-			resp.Err = "bad request: " + err.Error()
-		} else {
-			resp = r.dispatch(&req)
-		}
-		out, err := json.Marshal(resp)
-		if err != nil {
-			return
-		}
-		if err := palsvc.WriteFrame(c, out); err != nil {
-			return
-		}
-	}
+	return palsvc.ServeConns(l, connTimeout, r.dispatch)
 }
 
 // dispatch answers one wire request: run is routed, ping answered locally,

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -442,5 +445,52 @@ func TestClusterAggregation(t *testing.T) {
 	}
 	if h.Shedding {
 		t.Error("cluster health shedding with both backends live")
+	}
+}
+
+// TestRouterAnswersCoalescedFrames sends a run and a ping to the router in
+// one write. The router serves through palsvc's connection loop, whose one
+// reader per connection must answer both, in order.
+func TestRouterAnswersCoalescedFrames(t *testing.T) {
+	_, kl := startBackend(t, palsvc.Config{})
+	backend := kl.Addr().String()
+	r := newTestRouter(t, []string{backend}, nil)
+	conn, err := net.Dial("tcp", serveRouter(t, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	var frames bytes.Buffer
+	for _, req := range []palsvc.WireRequest{
+		{Op: palsvc.OpRun, Name: "hello", Source: helloSource},
+		{Op: palsvc.OpPing},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := palsvc.WriteFrame(&frames, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(frames.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var run, ping palsvc.WireResponse
+	for _, resp := range []*palsvc.WireResponse{&run, &ping} {
+		body, err := palsvc.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !run.OK || string(run.Output) != "hello" || run.Backend != backend {
+		t.Errorf("first answer %+v, want the run's output from %s", run, backend)
+	}
+	if !ping.OK || ping.Backend != "" || len(ping.Output) != 0 {
+		t.Errorf("second answer %+v, want the router's own ping answer", ping)
 	}
 }

@@ -164,7 +164,6 @@ type CPU struct {
 	tcodeOff bool
 	bprof    BlockProfiler
 	tstats   tcodeCounters
-
 }
 
 // Tracer observes each instruction before it executes, for debugging

@@ -83,17 +83,17 @@ const (
 // any.
 type tstep struct {
 	run  func(c *CPU, e *blockEntry, s *tstep) (int, error)
-	n    uint8      // instructions this step retires on success
-	wr   bool       // step may write PAL memory (store/storeb/push/call)
-	ra   uint8      // register operands
+	n    uint8 // instructions this step retires on success
+	wr   bool  // step may write PAL memory (store/storeb/push/call)
+	ra   uint8 // register operands
 	rb   uint8
-	op   isa.Opcode // retired opcode
-	op2  isa.Opcode // branch opcode of a fused cmp+branch
-	a, b int16      // constituent indices into blockEntry.recs for pairs
-	pc   uint32     // PAL-relative address of the step's first instruction
-	next uint32     // fall-through PC after the whole step
-	imm  uint32     // zero-extended immediate; branch/jump target
-	simm uint32     // sign-extended immediate
+	op   isa.Opcode      // retired opcode
+	op2  isa.Opcode      // branch opcode of a fused cmp+branch
+	a, b int16           // constituent indices into blockEntry.recs for pairs
+	pc   uint32          // PAL-relative address of the step's first instruction
+	next uint32          // fall-through PC after the whole step
+	imm  uint32          // zero-extended immediate; branch/jump target
+	simm uint32          // sign-extended immediate
 	cond func(*CPU) bool // shared flag predicate for branches
 }
 

@@ -42,28 +42,28 @@ type PageInfo struct {
 // MemMap summarizes chipset memory ownership at fault time: platform-wide
 // counts by access state, plus per-page detail for the PAL's own region.
 type MemMap struct {
-	PagesAll    int        `json:"pages_all"`    // open-access pages
-	PagesNone   int        `json:"pages_none"`   // secluded pages
-	PagesOwned  int        `json:"pages_owned"`  // pages bound to some CPU
+	PagesAll    int        `json:"pages_all"`   // open-access pages
+	PagesNone   int        `json:"pages_none"`  // secluded pages
+	PagesOwned  int        `json:"pages_owned"` // pages bound to some CPU
 	RegionPages []PageInfo `json:"region_pages,omitempty"`
 }
 
 // CrashBundle is one recorded fault: everything /debug/crashes serves and
 // tcbprof -crash renders. Layout is documented in docs/PROFILING.md.
 type CrashBundle struct {
-	ID      uint64 `json:"id"`
-	WallNs  int64  `json:"wall_ns"`
-	VirtNs  int64  `json:"virt_ns"`
-	Reason  string `json:"reason"` // "fault" or "skill"
-	Error   string `json:"error,omitempty"`
-	Tenant  string `json:"tenant,omitempty"`
+	ID      uint64      `json:"id"`
+	WallNs  int64       `json:"wall_ns"`
+	VirtNs  int64       `json:"virt_ns"`
+	Reason  string      `json:"reason"` // "fault" or "skill"
+	Error   string      `json:"error,omitempty"`
+	Tenant  string      `json:"tenant,omitempty"`
 	Trace   obs.TraceID `json:"trace"`
-	Machine int    `json:"machine"`
-	CPU     int    `json:"cpu"`
-	Image   string `json:"image"`
-	Slices  int    `json:"slices"`
-	Resumes int    `json:"resumes,omitempty"`
-	SePCR   int    `json:"sepcr"`
+	Machine int         `json:"machine"`
+	CPU     int         `json:"cpu"`
+	Image   string      `json:"image"`
+	Slices  int         `json:"slices"`
+	Resumes int         `json:"resumes,omitempty"`
+	SePCR   int         `json:"sepcr"`
 
 	Regs      cpu.ArchState `json:"regs"`
 	Region    RegionInfo    `json:"region"`

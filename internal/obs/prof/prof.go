@@ -79,10 +79,10 @@ type imageRec struct {
 	pcs  []pcCount
 	svcs map[svcKey]*svcCount
 
-	launches, resumes         int64
-	slices                    int64
-	preempts, yields, faults  int64
-	quoteCalls, quoteVirtNs   int64
+	launches, resumes        int64
+	slices                   int64
+	preempts, yields, faults int64
+	quoteCalls, quoteVirtNs  int64
 
 	// Compiled-tier split: cycles and retirements attributed through
 	// the threaded-code tier (cpu.BlockProfiler) rather than the

@@ -61,13 +61,13 @@ type ImageProfile struct {
 	CompiledCyclesNs int64 `json:"compiled_cycles_ns,omitempty"`
 	CompiledRetired  int64 `json:"compiled_retired,omitempty"`
 	Launches         int64 `json:"launches"`
-	Resumes      int64 `json:"resumes,omitempty"`
-	Slices       int64 `json:"slices"`
-	Preempts     int64 `json:"preempts,omitempty"`
-	Yields       int64 `json:"yields,omitempty"`
-	Faults       int64 `json:"faults,omitempty"`
-	QuoteCalls   int64 `json:"quote_calls,omitempty"`
-	QuoteVirtNs  int64 `json:"quote_virt_ns,omitempty"`
+	Resumes          int64 `json:"resumes,omitempty"`
+	Slices           int64 `json:"slices"`
+	Preempts         int64 `json:"preempts,omitempty"`
+	Yields           int64 `json:"yields,omitempty"`
+	Faults           int64 `json:"faults,omitempty"`
+	QuoteCalls       int64 `json:"quote_calls,omitempty"`
+	QuoteVirtNs      int64 `json:"quote_virt_ns,omitempty"`
 
 	PCs    []PCSample    `json:"pcs"`
 	Blocks []BlockSample `json:"blocks,omitempty"`

@@ -1,7 +1,6 @@
 package palsvc
 
 import (
-	"encoding/json"
 	"net"
 	"slices"
 	"sync"
@@ -39,8 +38,8 @@ func TestClosedLoopRunsEveryTenant(t *testing.T) {
 }
 
 // arrivalServer speaks just enough of the wire protocol for the load
-// generator: every frame gets {"ok":true}, and the arrival time of every run
-// request is recorded.
+// generator: every request gets {"ok":true}, and the arrival time of every
+// run request is recorded.
 func arrivalServer(t *testing.T) (addr string, arrivals func() []time.Time) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -52,33 +51,15 @@ func arrivalServer(t *testing.T) (addr string, arrivals func() []time.Time) {
 		mu    sync.Mutex
 		times []time.Time
 	)
-	ok, _ := json.Marshal(WireResponse{OK: true})
 	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
+		_ = ServeConns(l, 0, func(req *WireRequest) *WireResponse {
+			if req.Op == OpRun {
+				mu.Lock()
+				times = append(times, time.Now())
+				mu.Unlock()
 			}
-			go func() {
-				defer c.Close()
-				for {
-					body, err := ReadFrame(c)
-					if err != nil {
-						return
-					}
-					now := time.Now()
-					var req WireRequest
-					if json.Unmarshal(body, &req) == nil && req.Op == OpRun {
-						mu.Lock()
-						times = append(times, now)
-						mu.Unlock()
-					}
-					if WriteFrame(c, ok) != nil {
-						return
-					}
-				}
-			}()
-		}
+			return &WireResponse{OK: true}
+		})
 	}()
 	return l.Addr().String(), func() []time.Time {
 		mu.Lock()

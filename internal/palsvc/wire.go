@@ -1,12 +1,15 @@
 package palsvc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sync"
+	"syscall"
 	"time"
 
 	"minimaltcb/internal/audit"
@@ -25,22 +28,35 @@ const MaxFrame = 1 << 20
 // ErrFrameTooLarge reports a frame header exceeding MaxFrame.
 var ErrFrameTooLarge = errors.New("palsvc: frame exceeds size limit")
 
-// WriteFrame writes one length-prefixed frame.
+// frameBufs recycles WriteFrame's header‖body buffers. Like fmt's printer
+// pool, it drops buffers past maxPooledFrame so one trace dump does not pin
+// a megabyte behind every small frame that follows.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 64 << 10
+
+// WriteFrame writes one length-prefixed frame with a single Write: on a TCP
+// connection one frame is one syscall, where a separate header write would
+// cost a second syscall and, under TCP_NODELAY, a second segment.
 func WriteFrame(w io.Writer, body []byte) error {
 	if len(body) > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bp := frameBufs.Get().(*[]byte)
+	frame := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(body)))
+	frame = append(frame, body...)
+	_, err := w.Write(frame)
+	if cap(frame) <= maxPooledFrame {
+		*bp = frame
+		frameBufs.Put(bp)
 	}
-	_, err := w.Write(body)
 	return err
 }
 
 // ReadFrame reads one length-prefixed frame, rejecting empty and oversized
-// bodies.
+// bodies. ServeConns and Client call it on one bufio.Reader that lives as
+// long as the connection, so a frame that arrived whole costs one read
+// syscall and bytes of a following frame stay buffered for the next call.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -218,38 +234,60 @@ type WireResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// Serve accepts connections on l until the listener closes, handling each
-// connection in its own goroutine. connTimeout bounds each request
-// read/response write (0 means no per-request deadline). Serve returns the
-// accept error that ended the loop.
+// Serve accepts connections on l until the listener closes and answers
+// their requests; see ServeConns.
 func (s *Service) Serve(l net.Listener, connTimeout time.Duration) error {
+	return ServeConns(l, connTimeout, s.dispatch)
+}
+
+// ServeConns is the wire protocol's server loop, shared by Service.Serve
+// and the cluster router. It accepts connections on l and serves each in
+// its own goroutine: read a request frame, answer it with dispatch, write
+// the response frame, until the peer closes or a framing or deadline error
+// occurs. connTimeout bounds each request read/response write (0 means no
+// per-request deadline).
+//
+// Accept errors that mean the process is out of descriptors or buffers are
+// retried after a backoff, because every live connection is still being
+// served; ServeConns returns any other accept error, such as net.ErrClosed
+// once the listener closes.
+func ServeConns(l net.Listener, connTimeout time.Duration, dispatch func(*WireRequest) *WireResponse) error {
+	var delay time.Duration
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			return err
+			if !acceptExhausted(err) {
+				return err
+			}
+			// 5 ms doubling to 1 s, as net/http does.
+			delay = min(max(2*delay, 5*time.Millisecond), time.Second)
+			time.Sleep(delay)
+			continue
 		}
-		go func(c net.Conn) {
-			// A panicking handler must not leak the connection or kill
-			// the whole server.
-			defer func() {
-				if r := recover(); r != nil {
-					_ = c.Close()
-				}
-			}()
-			defer c.Close()
-			s.serveConn(c, connTimeout)
-		}(conn)
+		delay = 0
+		go serveConn(conn, connTimeout, dispatch)
 	}
 }
 
-// serveConn runs the request loop for one connection until the peer closes
-// or a framing/deadline error occurs.
-func (s *Service) serveConn(c net.Conn, connTimeout time.Duration) {
+// acceptExhausted reports whether an accept error is resource exhaustion,
+// which clears as connections close.
+func acceptExhausted(err error) bool {
+	return errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) ||
+		errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM)
+}
+
+// serveConn runs the request loop for one connection.
+func serveConn(c net.Conn, connTimeout time.Duration, dispatch func(*WireRequest) *WireResponse) {
+	// A panicking handler must not kill the whole server; the deferred
+	// Close still drops its connection.
+	defer func() { _ = recover() }()
+	defer c.Close()
+	r := bufio.NewReader(c)
 	for {
 		if connTimeout > 0 {
 			_ = c.SetDeadline(time.Now().Add(connTimeout))
 		}
-		body, err := ReadFrame(c)
+		body, err := ReadFrame(r)
 		if err != nil {
 			return
 		}
@@ -258,7 +296,7 @@ func (s *Service) serveConn(c net.Conn, connTimeout time.Duration) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			resp.Err = "bad request: " + err.Error()
 		} else {
-			resp = s.dispatch(&req)
+			resp = dispatch(&req)
 		}
 		out, err := json.Marshal(resp)
 		if err != nil {
@@ -401,9 +439,14 @@ func BoundTraceDump(recs []obs.Record, dropped uint64) *TraceDump {
 	return dump
 }
 
-// Client is a tenant-side connection to a palsvc server.
+// Client is a tenant-side connection to a palsvc server. It sends each
+// request frame with one write and reads responses through one buffered
+// reader, made on first use, that lives as long as the connection. A
+// Client is not safe for concurrent use, and one that returned a transport
+// error must be closed, never reused (see Do).
 type Client struct {
 	conn    net.Conn
+	r       *bufio.Reader
 	timeout time.Duration // per-roundTrip deadline; 0 = none
 }
 
@@ -453,7 +496,10 @@ func (c *Client) roundTrip(req *WireRequest) (*WireResponse, error) {
 	if err := WriteFrame(c.conn, body); err != nil {
 		return nil, err
 	}
-	out, err := ReadFrame(c.conn)
+	if c.r == nil {
+		c.r = bufio.NewReader(c.conn)
+	}
+	out, err := ReadFrame(c.r)
 	if err != nil {
 		return nil, err
 	}
@@ -467,6 +513,11 @@ func (c *Client) roundTrip(req *WireRequest) (*WireResponse, error) {
 // Do sends one raw request and returns the raw response — the forwarding
 // primitive cmd/palrouter proxies through. Unlike Run it never rewrites
 // req.Op, so a router can relay stats/health/ping verbatim.
+//
+// Do returns an error only when the round trip itself failed. The
+// connection is then in an unknown state and its reader may hold part of a
+// frame, so the caller must Close c rather than send on it again. An answer
+// the server sends back, OK or not, is a response, not an error.
 func (c *Client) Do(req *WireRequest) (*WireResponse, error) {
 	return c.roundTrip(req)
 }
