@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race tcbbench loc bench benchcmp soak soak-short cluster-soak audit-verify
+.PHONY: check fmt build vet test race tcbbench loc tcb-loc bench benchcmp soak soak-short cluster-soak audit-verify
 
-check: fmt build vet test race tcbbench benchcmp audit-verify soak-short
+check: fmt build vet test race tcbbench tcb-loc benchcmp audit-verify soak-short
 
 # fmt fails when gofmt would change any tracked .go file. It lists tracked
 # files only, so the benchmark's untracked .bench_build tree (its Go module
@@ -44,6 +44,17 @@ tcbbench:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/tcbbench/*' \
 		-not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+
+# tcb-loc prints the size of the code a relying party trusts: the non-test
+# Go lines of every in-module package internal/attest depends on. It fails
+# if the TPM simulator (internal/tpm, internal/obs or internal/lpc) is
+# among them, because the verifier decides from the signed quote alone.
+tcb-loc:
+	@deps="$$($(GO) list -deps ./internal/attest)" || exit 1; \
+	bad="$$(echo "$$deps" | grep -E '^minimaltcb/internal/(tpm|obs|lpc)$$')"; \
+	if [ -n "$$bad" ]; then echo "internal/attest depends on:"; echo "$$bad"; exit 1; fi; \
+	$(GO) list -deps -f '{{if not .Standard}}{{range .GoFiles}}{{$$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}' \
+		./internal/attest | xargs cat | wc -l
 
 # soak drives the fault-injected zero-loss/zero-leak acceptance run (see
 # docs/RESILIENCE.md): a multi-replica service under the "soak" profile over

@@ -17,6 +17,7 @@ import (
 
 	"minimaltcb/internal/chipset"
 	"minimaltcb/internal/cpu"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/experiments"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/mem"
@@ -393,7 +394,7 @@ func BenchmarkTPM_QuoteBatch(b *testing.B) {
 	for _, size := range quoteBatchSizes {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			chip := benchQuoteChip(b, size)
-			meas := tpm.Measure([]byte("bench-pal"))
+			meas := evidence.Measure([]byte("bench-pal"))
 			park := func() []int {
 				handles := make([]int, size)
 				for i := 0; i < size; i++ {

@@ -37,6 +37,7 @@ import (
 	"minimaltcb/internal/attest"
 	"minimaltcb/internal/audit"
 	"minimaltcb/internal/core"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/obs"
 	"minimaltcb/internal/platform"
@@ -401,7 +402,7 @@ func batchDemo(timeout time.Duration, jobs int) error {
 	logs := map[int]attest.Log{}
 	for i := 0; i < 2*jobs; i++ {
 		name := fmt.Sprintf("batch-pal-%d", i)
-		meas := tpm.Measure([]byte(name))
+		meas := evidence.Measure([]byte(name))
 		v.Approve(name, meas)
 		h, err := chip.AllocateSePCR(i, meas)
 		if err != nil {
@@ -474,9 +475,13 @@ func batchDemo(timeout time.Duration, jobs int) error {
 	if err != nil {
 		return fmt.Errorf("batched attestation REJECTED: %w", err)
 	}
+	b, err := v.AuthenticateBatch(cert, ev.Batch)
+	if err != nil {
+		return fmt.Errorf("batch signature REJECTED: %w", err)
+	}
 	names := make([]string, jobs)
 	for i := range first {
-		name, err := v.VerifyBatchedQuote(cert, ev.Batch, i, logs[first[i]], round(1)[i])
+		name, err := b.VerifyEntry(i, logs[first[i]], round(1)[i])
 		if err != nil {
 			return fmt.Errorf("inclusion proof for job %d REJECTED: %w", i, err)
 		}

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/obs/prof"
 	"minimaltcb/internal/pal"
-	"minimaltcb/internal/tpm"
 )
 
 // buildProfile collects a tiny synthetic run so the renderers have real
@@ -27,7 +27,7 @@ func buildProfile(t *testing.T) *prof.Profile {
 		t.Fatal(err)
 	}
 	c := prof.New().NewCPU()
-	c.Enter(tpm.Measure(im.Bytes), im, im.Len()+64, false)
+	c.Enter(evidence.Measure(im.Bytes), im, im.Len()+64, false)
 	for i := 0; i < 6; i++ {
 		c.RetireInstr(uint32(im.Entry)+uint32(4*(i%4)), 0, 10*time.Nanosecond)
 	}

@@ -16,6 +16,7 @@ import (
 	"os"
 	"strings"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/experiments"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/sim"
@@ -112,7 +113,7 @@ func run(chipName string, trials int, args []string) error {
 			return err
 		}
 		fmt.Printf("quote:  %d-byte signature in %v\n", len(q.Signature), clock.Now()-t0)
-		if err := tpm.VerifyQuote(chip.AIKPublic(), q); err != nil {
+		if err := evidence.VerifyQuote(chip.AIKPublic(), q); err != nil {
 			return fmt.Errorf("quote verification failed: %w", err)
 		}
 		fmt.Println("quote verifies against the AIK")

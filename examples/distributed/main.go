@@ -18,9 +18,9 @@ import (
 
 	"minimaltcb/internal/attest"
 	"minimaltcb/internal/core"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sksm"
-	"minimaltcb/internal/tpm"
 )
 
 const (
@@ -104,7 +104,7 @@ func newWorker(id int, p *core.PAL) (*worker, error) {
 // runAndServe executes the range [start, start+span) and serves exactly
 // one attestation challenge for the run. lie makes the worker's OS tamper
 // with the reported output (the attack the quote catches).
-func (w *worker) runAndServe(start, span uint32, lie bool) (result []byte, evidence attest.Responder, err error) {
+func (w *worker) runAndServe(start, span uint32, lie bool) (result []byte, respond attest.Responder, err error) {
 	input := make([]byte, 8)
 	binary.LittleEndian.PutUint32(input[0:4], start)
 	binary.LittleEndian.PutUint32(input[4:8], span)
@@ -128,7 +128,7 @@ func (w *worker) runAndServe(start, span uint32, lie bool) (result []byte, evide
 
 	logEntries := attest.Log{
 		{PCR: -1, Description: w.p.Name, Measurement: w.p.Measurement()},
-		{PCR: -1, Description: "result", Measurement: tpm.Measure(result)},
+		{PCR: -1, Description: "result", Measurement: evidence.Measure(result)},
 	}
 	// The run is attested as a batch of one: the coordinator's job nonce
 	// is bound into the single leaf.

@@ -11,9 +11,9 @@ import (
 
 	"minimaltcb/internal/attest"
 	"minimaltcb/internal/core"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sim"
-	"minimaltcb/internal/tpm"
 )
 
 // kernelTextSize is the size of the simulated kernel text section.
@@ -100,7 +100,7 @@ func check(sys *core.System, det *core.PAL, kernelText []byte, nonce []byte) (by
 	}
 	logEntries := attest.Log{
 		{PCR: 17, Description: det.Name, Measurement: det.Measurement()},
-		{PCR: 17, Description: "verdict", Measurement: tpm.Measure([]byte{verdict})},
+		{PCR: 17, Description: "verdict", Measurement: evidence.Measure([]byte{verdict})},
 	}
 	sys.Verifier.Approve(det.Name, det.Measurement())
 	if _, err := sys.Verifier.VerifyPALQuote(sys.Cert, q, logEntries, nonce); err != nil {
@@ -154,7 +154,7 @@ func main() {
 	}
 	forged := attest.Log{
 		{PCR: 17, Description: det.Name, Measurement: det.Measurement()},
-		{PCR: 17, Description: "verdict", Measurement: tpm.Measure([]byte{0})},
+		{PCR: 17, Description: "verdict", Measurement: evidence.Measure([]byte{0})},
 	}
 	if _, err := sys.Verifier.VerifyPALQuote(sys.Cert, q, forged, []byte("scan-3")); err == nil {
 		log.Fatal("SECURITY FAILURE: forged clean verdict verified")

@@ -3,18 +3,23 @@
 // Identity Key, the event log a verifier replays, and the verifier itself,
 // which decides — from a quote and nothing else on the platform — whether a
 // specific PAL really executed under hardware protection.
+//
+// The package checks evidence through internal/evidence and never imports
+// the TPM simulator, so a relying party trusts only this package, evidence,
+// merkle and sim (for the CA's seeded key); `make tcb-loc` counts them.
 package attest
 
 import (
 	"crypto"
 	"crypto/rsa"
 	"crypto/sha1"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/sim"
-	"minimaltcb/internal/tpm"
 )
 
 // Event is one entry of the measurement log software keeps alongside the
@@ -25,7 +30,7 @@ type Event struct {
 	// Description says what was measured ("PAL: rootkit-detector v3").
 	Description string
 	// Measurement is the SHA-1 the TPM received.
-	Measurement tpm.Digest
+	Measurement evidence.Digest
 }
 
 // Log is an ordered measurement log.
@@ -35,10 +40,10 @@ type Log []Event
 // post-late-launch state (dynamic PCRs zero). A verifier compares the
 // result against quoted values: matching values prove the log is complete
 // and untampered, because PCRs are append-only.
-func (l Log) Replay() map[int]tpm.Digest {
-	out := map[int]tpm.Digest{}
+func (l Log) Replay() map[int]evidence.Digest {
+	out := map[int]evidence.Digest{}
 	for _, e := range l {
-		out[e.PCR] = tpm.ExtendDigest(out[e.PCR], e.Measurement)
+		out[e.PCR] = evidence.ExtendDigest(out[e.PCR], e.Measurement)
 	}
 	return out
 }
@@ -54,16 +59,22 @@ type AIKCert struct {
 	Signature []byte
 }
 
-// certDigest is the signed message of an AIK certificate.
+// certDigest is the signed message of an AIK certificate:
+// SHA1("AIK-CERT" || len(id) || id || len(N) || N || E). PlatformID and N
+// are length-framed, as BatchLeaf frames its fields; unframed, the CA's
+// signature over ("plat", N) would also cover PlatformID "plat"+N[:1] with
+// modulus N[1:].
 func certDigest(platformID string, aik *rsa.PublicKey) []byte {
-	h := sha1.New()
-	h.Write([]byte("AIK-CERT"))
-	h.Write([]byte(platformID))
-	h.Write(aik.N.Bytes())
-	var e [4]byte
-	e[0], e[1], e[2], e[3] = byte(aik.E>>24), byte(aik.E>>16), byte(aik.E>>8), byte(aik.E)
-	h.Write(e[:])
-	return h.Sum(nil)
+	n := aik.N.Bytes()
+	b := make([]byte, 0, len("AIK-CERT")+4+len(platformID)+4+len(n)+4)
+	b = append(b, "AIK-CERT"...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(platformID)))
+	b = append(b, platformID...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(n)))
+	b = append(b, n...)
+	b = binary.BigEndian.AppendUint32(b, uint32(aik.E))
+	d := sha1.Sum(b)
+	return d[:]
 }
 
 // PrivacyCA issues AIK certificates. Verifiers trust its public key.
@@ -131,16 +142,16 @@ func VerifyCert(caPub *rsa.PublicKey, cert *AIKCert) error {
 //
 // A Verifier is safe for concurrent use: a single verifier instance can
 // serve many challenge/verify exchanges at once (the palsvc worker pool and
-// concurrent attestd clients rely on this). RSA verification results are
-// memoized — an AIK certificate or quote signature that has already been
-// validated byte-for-byte skips the RSA work on later exchanges, so
-// repeated tenants against the same platform pay the public-key cost once.
+// concurrent attestd clients rely on this). It keeps no verification
+// cache: every signature it accepts was checked by crypto/rsa on that
+// call, and a batch's one signature is shared by its entries by structure
+// (AuthenticateBatch, then Batch.VerifyEntry), not by memo.
 type Verifier struct {
 	caPub *rsa.PublicKey
 
 	mu sync.Mutex
 	// known maps PAL measurement -> human-readable name.
-	known map[tpm.Digest]string
+	known map[evidence.Digest]string
 	// nonceCur and noncePrev provide replay protection as a rotating
 	// two-generation window (see consumeNonce): membership in either
 	// generation is a replay; inserts go to nonceCur; when nonceCur
@@ -151,106 +162,31 @@ type Verifier struct {
 	noncePrev map[string]bool
 	// replays counts rejected replay attempts (see NonceReplays).
 	replays uint64
-	// verifiedCerts and verifiedSigs memoize successful RSA
-	// verifications, keyed by the exact signed message plus signature
-	// bytes — a memo hit is only possible for an input that already
-	// passed verification unchanged. Both are emptied at nonceWindow
-	// entries (nonces make most keys single-use, so these would
-	// otherwise grow with the nonce history).
-	verifiedCerts map[string]bool
-	verifiedSigs  map[string]bool
-	memoHits      uint64
-	memoMisses    uint64
 }
 
-// nonceWindow bounds each replay-window generation (and each RSA memo
-// table). Two generations deep, the verifier always detects a replay of
-// any of the last nonceWindow nonces, and of up to 2*nonceWindow depending
-// on rotation phase. Nonces older than that are outside the detection
-// horizon — acceptable because nonces are verifier-chosen and verified
-// promptly; a challenge is not a bearer token with a shelf life.
+// nonceWindow bounds each replay-window generation. Two generations deep,
+// the verifier always detects a replay of any of the last nonceWindow
+// nonces, and of up to 2*nonceWindow depending on rotation phase. Nonces
+// older than that are outside the detection horizon — acceptable because
+// nonces are verifier-chosen and verified promptly; a challenge is not a
+// bearer token with a shelf life.
 const nonceWindow = 4096
 
 // NewVerifier builds a verifier trusting the given CA.
 func NewVerifier(caPub *rsa.PublicKey) *Verifier {
 	return &Verifier{
-		caPub:         caPub,
-		known:         map[tpm.Digest]string{},
-		nonceCur:      map[string]bool{},
-		verifiedCerts: map[string]bool{},
-		verifiedSigs:  map[string]bool{},
+		caPub:    caPub,
+		known:    map[evidence.Digest]string{},
+		nonceCur: map[string]bool{},
 	}
 }
 
 // Approve registers a PAL image hash as known-good. Verifiers approve
 // code, not platforms: any platform may run an approved PAL.
-func (v *Verifier) Approve(name string, palMeasurement tpm.Digest) {
+func (v *Verifier) Approve(name string, palMeasurement evidence.Digest) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.known[palMeasurement] = name
-}
-
-// MemoStats reports how many RSA signature verifications were skipped
-// (hits) versus performed (misses) since the verifier was created.
-func (v *Verifier) MemoStats() (hits, misses uint64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.memoHits, v.memoMisses
-}
-
-// verifyCertMemo is VerifyCert with memoization of successful results.
-func (v *Verifier) verifyCertMemo(cert *AIKCert) error {
-	if cert == nil || cert.AIK == nil {
-		return errors.New("attest: nil certificate")
-	}
-	key := string(certDigest(cert.PlatformID, cert.AIK)) + "|" + string(cert.Signature)
-	v.mu.Lock()
-	if v.verifiedCerts[key] {
-		v.memoHits++
-		v.mu.Unlock()
-		return nil
-	}
-	v.memoMisses++
-	v.mu.Unlock()
-	if err := VerifyCert(v.caPub, cert); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	if len(v.verifiedCerts) >= nonceWindow {
-		v.verifiedCerts = map[string]bool{}
-	}
-	v.verifiedCerts[key] = true
-	v.mu.Unlock()
-	return nil
-}
-
-// verifyQuoteSigMemo is tpm.VerifyQuote with memoization of successful
-// results. The key binds the AIK, the quoted composite, the nonce and the
-// signature bytes, so a hit can only replay an identical verification.
-func (v *Verifier) verifyQuoteSigMemo(aik *rsa.PublicKey, q *tpm.Quote) error {
-	if q == nil || aik == nil {
-		return errors.New("attest: nil quote or AIK")
-	}
-	key := string(aik.N.Bytes()) + "|" + string(q.Composite[:]) + "|" +
-		string(q.Nonce) + "|" + string(q.Signature)
-	v.mu.Lock()
-	if v.verifiedSigs[key] {
-		v.memoHits++
-		v.mu.Unlock()
-		return nil
-	}
-	v.memoMisses++
-	v.mu.Unlock()
-	if err := tpm.VerifyQuote(aik, q); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	if len(v.verifiedSigs) >= nonceWindow {
-		v.verifiedSigs = map[string]bool{}
-	}
-	v.verifiedSigs[key] = true
-	v.mu.Unlock()
-	return nil
 }
 
 // consumeNonce atomically checks freshness and marks the nonce used. It is
@@ -295,7 +231,7 @@ func (v *Verifier) NonceReplays() uint64 {
 }
 
 // lookup returns the approved name for a measurement.
-func (v *Verifier) lookup(m tpm.Digest) (string, bool) {
+func (v *Verifier) lookup(m evidence.Digest) (string, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	name, ok := v.known[m]
@@ -320,29 +256,32 @@ var (
 // sel must be the selection the quote covers; log must contain the
 // measurement events the platform claims (for the simple SEA flow this is
 // one event: the PAL into PCR 17, plus the ACMod and PAL on Intel).
-func (v *Verifier) VerifyPALQuote(cert *AIKCert, q *tpm.Quote, log Log, nonce []byte) (string, error) {
-	if err := v.verifyCertMemo(cert); err != nil {
+func (v *Verifier) VerifyPALQuote(cert *AIKCert, q *evidence.Quote, log Log, nonce []byte) (string, error) {
+	if err := VerifyCert(v.caPub, cert); err != nil {
 		return "", err
 	}
-	if err := v.verifyQuoteSigMemo(cert.AIK, q); err != nil {
+	if err := evidence.VerifyQuote(cert.AIK, q); err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadSignature, err)
 	}
 	if string(q.Nonce) != string(nonce) {
 		return "", ErrWrongNonce
+	}
+	if err := q.Selection.Check(); err != nil {
+		return "", err
 	}
 
 	// Replay the log and reconstruct the composite.
 	finals := log.Replay()
 	// The reboot value of a dynamic PCR is all-ones; a log claiming no
 	// events for PCR17 can never match a genuine late launch.
-	if _, ok := finals[tpm.FirstDynamicPCR]; !ok {
+	if _, ok := finals[evidence.FirstDynamicPCR]; !ok {
 		return "", ErrNotLaunched
 	}
-	vals := make([]tpm.Digest, len(q.Selection))
+	vals := make([]evidence.Digest, len(q.Selection))
 	for i, idx := range q.Selection {
 		vals[i] = finals[idx]
 	}
-	if tpm.CompositeDigest(q.Selection, vals) != q.Composite {
+	if evidence.CompositeDigest(q.Selection, vals) != q.Composite {
 		return "", ErrLogMismatch
 	}
 
@@ -363,7 +302,7 @@ func (v *Verifier) VerifyPALQuote(cert *AIKCert, q *tpm.Quote, log Log, nonce []
 // rootApproved finds, for each selected PCR, the first event extended into
 // it and reports the first one naming an approved PAL. Later events are
 // inputs the PAL chose to extend and carry no code identity.
-func (v *Verifier) rootApproved(log Log, sel tpm.Selection) (string, error) {
+func (v *Verifier) rootApproved(log Log, sel evidence.Selection) (string, error) {
 	seen := map[int]bool{}
 	for _, e := range log {
 		if seen[e.PCR] {

@@ -1,10 +1,13 @@
 package attest
 
 import (
+	"crypto/rsa"
 	"errors"
+	"math/big"
 	"testing"
 	"testing/quick"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/sim"
 	"minimaltcb/internal/tpm"
@@ -49,19 +52,19 @@ func newTPMWithBus(t *testing.T, seed uint64, sePCRs int) tpmWithBus {
 }
 
 func TestLogReplay(t *testing.T) {
-	m1 := tpm.Measure([]byte("pal"))
-	m2 := tpm.Measure([]byte("input"))
+	m1 := evidence.Measure([]byte("pal"))
+	m2 := evidence.Measure([]byte("input"))
 	log := Log{
 		{PCR: 17, Measurement: m1},
 		{PCR: 17, Measurement: m2},
 		{PCR: 18, Measurement: m1},
 	}
 	finals := log.Replay()
-	want17 := tpm.ExtendDigest(tpm.ExtendDigest(tpm.Digest{}, m1), m2)
+	want17 := evidence.ExtendDigest(evidence.ExtendDigest(tpm.Digest{}, m1), m2)
 	if finals[17] != want17 {
 		t.Fatal("PCR17 replay wrong")
 	}
-	if finals[18] != tpm.ExtendDigest(tpm.Digest{}, m1) {
+	if finals[18] != evidence.ExtendDigest(tpm.Digest{}, m1) {
 		t.Fatal("PCR18 replay wrong")
 	}
 }
@@ -78,9 +81,9 @@ func TestLogReplayFoldProperty(t *testing.T) {
 		want := map[int]tpm.Digest{}
 		for _, e := range raw {
 			pcr := int(e.PCR) % 4
-			m := tpm.Measure(e.Data)
+			m := evidence.Measure(e.Data)
 			log = append(log, Event{PCR: pcr, Measurement: m})
-			want[pcr] = tpm.ExtendDigest(want[pcr], m)
+			want[pcr] = evidence.ExtendDigest(want[pcr], m)
 		}
 		got := log.Replay()
 		if len(got) != len(want) {
@@ -130,6 +133,18 @@ func TestVerifyCertRejectsForgery(t *testing.T) {
 	if err := VerifyCert(ca.Public(), nil); err == nil {
 		t.Fatal("nil certificate verified")
 	}
+	// Boundary shift: the signature over ("plat", N) must not also cover
+	// PlatformID "plat"+N[:1] with modulus N[1:].
+	cert, _ = ca.Certify("plat", chip.AIKPublic())
+	n := chip.AIKPublic().N.Bytes()
+	shifted := &AIKCert{
+		PlatformID: "plat" + string(n[:1]),
+		AIK:        &rsa.PublicKey{N: new(big.Int).SetBytes(n[1:]), E: chip.AIKPublic().E},
+		Signature:  cert.Signature,
+	}
+	if err := VerifyCert(ca.Public(), shifted); err == nil {
+		t.Fatal("certificate with a shifted PlatformID/modulus boundary verified")
+	}
 }
 
 // Full chain: launch an approved PAL, quote, verify.
@@ -142,7 +157,7 @@ func TestVerifyPALQuoteEndToEnd(t *testing.T) {
 	tb.chip.HashData(image)
 	tb.chip.HashEnd()
 	tb.bus.SetLocality(0)
-	log := Log{{PCR: 17, Description: "PAL", Measurement: tpm.Measure(image)}}
+	log := Log{{PCR: 17, Description: "PAL", Measurement: evidence.Measure(image)}}
 
 	cert, _ := ca.Certify("dc5750", tb.chip.AIKPublic())
 	nonce := []byte("fresh challenge 1")
@@ -152,7 +167,7 @@ func TestVerifyPALQuoteEndToEnd(t *testing.T) {
 	}
 
 	v := NewVerifier(ca.Public())
-	v.Approve("rootkit-detector", tpm.Measure(image))
+	v.Approve("rootkit-detector", evidence.Measure(image))
 	name, err := v.VerifyPALQuote(cert, q, log, nonce)
 	if err != nil {
 		t.Fatal(err)
@@ -174,13 +189,13 @@ func TestVerifyPALQuoteRejectsUnapprovedPAL(t *testing.T) {
 	tb.chip.HashStart()
 	tb.chip.HashData(image)
 	tb.chip.HashEnd()
-	log := Log{{PCR: 17, Measurement: tpm.Measure(image)}}
+	log := Log{{PCR: 17, Measurement: evidence.Measure(image)}}
 	cert, _ := ca.Certify("dc5750", tb.chip.AIKPublic())
 	nonce := []byte("n2")
 	q, _ := tb.chip.QuoteCommand(tpm.Selection{17}, nonce)
 
 	v := NewVerifier(ca.Public())
-	v.Approve("good-pal", tpm.Measure([]byte("something else")))
+	v.Approve("good-pal", evidence.Measure([]byte("something else")))
 	if _, err := v.VerifyPALQuote(cert, q, log, nonce); !errors.Is(err, ErrUnknownPAL) {
 		t.Fatalf("unapproved PAL: %v", err)
 	}
@@ -210,17 +225,30 @@ func TestVerifyPALQuoteRejectsWrongNonceAndLog(t *testing.T) {
 	tb.chip.HashStart()
 	tb.chip.HashData(image)
 	tb.chip.HashEnd()
-	log := Log{{PCR: 17, Measurement: tpm.Measure(image)}}
+	log := Log{{PCR: 17, Measurement: evidence.Measure(image)}}
 	cert, _ := ca.Certify("p", tb.chip.AIKPublic())
 	q, _ := tb.chip.QuoteCommand(tpm.Selection{17}, []byte("right"))
 	v := NewVerifier(ca.Public())
-	v.Approve("pal", tpm.Measure(image))
+	v.Approve("pal", evidence.Measure(image))
 	if _, err := v.VerifyPALQuote(cert, q, log, []byte("wrong")); !errors.Is(err, ErrWrongNonce) {
 		t.Fatalf("wrong nonce: %v", err)
 	}
-	badLog := Log{{PCR: 17, Measurement: tpm.Measure([]byte("lie"))}}
+	badLog := Log{{PCR: 17, Measurement: evidence.Measure([]byte("lie"))}}
 	if _, err := v.VerifyPALQuote(cert, q, badLog, []byte("right")); err == nil {
 		t.Fatal("mismatched log verified")
+	}
+	// A selection naming PCR 273 composites like PCR 17 (the index is
+	// hashed as one byte, and the selection is unsigned), so a log could
+	// claim the PAL in a register that does not exist and append
+	// unquoted events to PCR 17.
+	forged := *q
+	forged.Selection = evidence.Selection{273}
+	forgedLog := Log{
+		{PCR: 273, Measurement: evidence.Measure(image)},
+		{PCR: 17, Measurement: evidence.Measure([]byte("anything"))},
+	}
+	if _, err := v.VerifyPALQuote(cert, &forged, forgedLog, []byte("right")); !errors.Is(err, evidence.ErrBadSelection) {
+		t.Fatalf("out-of-range selection: err = %v, want ErrBadSelection", err)
 	}
 }
 
@@ -239,12 +267,12 @@ func TestVerifySePCRQuoteEndToEnd(t *testing.T) {
 	ca := newCA(t)
 	chip := newTPM(t, 6, 2)
 	image := []byte("factoring PAL")
-	meas := tpm.Measure(image)
+	meas := evidence.Measure(image)
 	h, err := chip.AllocateSePCR(0, meas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := tpm.Measure([]byte("work unit 7"))
+	input := evidence.Measure([]byte("work unit 7"))
 	chip.SePCRExtend(h, 0, input)
 	chip.ReleaseSePCR(h, 0)
 	nonce := []byte("challenge")
@@ -279,7 +307,7 @@ func TestVerifySePCRQuoteEndToEnd(t *testing.T) {
 func TestVerifySePCRQuoteRejectsKilledPAL(t *testing.T) {
 	ca := newCA(t)
 	chip := newTPM(t, 6, 1)
-	meas := tpm.Measure([]byte("pal"))
+	meas := evidence.Measure([]byte("pal"))
 	h, _ := chip.AllocateSePCR(0, meas)
 	// SKILL the PAL, then try to pass its register off as clean: the
 	// register went straight to Free, so no quote is even possible.
@@ -294,13 +322,13 @@ func TestVerifySePCRQuoteRejectsKilledPAL(t *testing.T) {
 	v.Approve("pal", meas)
 	cert, _ := ca.Certify("ws", chip.AIKPublic())
 	h2, _ := chip.AllocateSePCR(0, meas)
-	chip.SePCRExtend(h2, 0, tpm.SKillMarker)
+	chip.SePCRExtend(h2, 0, evidence.SKillMarker)
 	chip.ReleaseSePCR(h2, 0)
 	nonce := []byte("n9")
 	q := quoteOne(t, chip, h2, nonce)
 	log := Log{
 		{PCR: -1, Measurement: meas},
-		{PCR: -1, Measurement: tpm.SKillMarker},
+		{PCR: -1, Measurement: evidence.SKillMarker},
 	}
 	if _, err := v.VerifyBatchedQuote(cert, q, 0, log, nonce); !errors.Is(err, ErrUnknownPAL) {
 		t.Fatalf("log with SKILL marker: %v", err)
@@ -310,8 +338,8 @@ func TestVerifySePCRQuoteRejectsKilledPAL(t *testing.T) {
 func TestVerifySePCRQuoteRootMustBeApproved(t *testing.T) {
 	ca := newCA(t)
 	chip := newTPM(t, 6, 1)
-	evil := tpm.Measure([]byte("evil pal"))
-	good := tpm.Measure([]byte("good pal"))
+	evil := evidence.Measure([]byte("evil pal"))
+	good := evidence.Measure([]byte("good pal"))
 	h, _ := chip.AllocateSePCR(0, evil)
 	// Evil PAL extends the good PAL's measurement as an "input", hoping
 	// the verifier matches on it.

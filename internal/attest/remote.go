@@ -9,13 +9,13 @@ import (
 	"sync"
 	"time"
 
-	"minimaltcb/internal/tpm"
+	"minimaltcb/internal/evidence"
 )
 
 // This file implements the wire protocol between the attesting platform
 // and the external verifier of §3.1. The verifier connects, sends a fresh
 // challenge, and receives the evidence bundle — AIK certificate, quote,
-// and measurement log — that VerifyPALQuote / VerifyBatchedQuote consume.
+// and measurement log — that VerifyPALQuote / AuthenticateBatch consume.
 // Everything security-relevant is inside the signed quote; the transport
 // needs no secrecy, matching the paper's trust model (the adversary
 // "can monitor all network traffic").
@@ -53,15 +53,15 @@ type Challenge struct {
 // PCR challenge) or Batch (an sePCR challenge) is set.
 type Evidence struct {
 	Cert  *AIKCert
-	Quote *tpm.Quote
+	Quote *evidence.Quote
 	Log   Log
 
 	// Batch carries the batched quote, Logs the per-entry event logs
 	// (Logs[i] belongs to Batch.Entries[i]), and Grant the session grant
 	// when the challenge asked to open one. Old verifiers ignore them.
-	Batch *tpm.BatchQuote
+	Batch *evidence.BatchQuote
 	Logs  []Log
-	Grant *tpm.QuoteSession
+	Grant *evidence.QuoteSession
 }
 
 // Responder produces evidence for a challenge; the platform side supplies
@@ -293,11 +293,12 @@ func (v *Verifier) ChallengeAndVerify(conn net.Conn, nonce []byte, opts ...Optio
 // challenge covering every handle, one signature (and network round trip)
 // for the whole set, then per-entry verification against this verifier's
 // trust anchors. jobNonces[i] is the fresh per-job nonce for handles[i].
-// When session is non-nil the batch is verified over the session's HMAC
-// channel; otherwise the stateless (RSA) path is used. It returns the
-// approved PAL names in handle order; on ANY entry failing, no result and
-// the first error (per-job nonces of entries that verified before the
-// failure are consumed — each entry is an independent attestation).
+// The batch is authenticated once — over the session's HMAC channel when
+// session is non-nil, by its RSA signature otherwise — and then each entry
+// is checked against it. It returns the approved PAL names in handle
+// order; on ANY entry failing, no result and the first error (per-job
+// nonces of entries that verified before the failure are consumed — each
+// entry is an independent attestation).
 func (v *Verifier) ChallengeAndVerifyBatch(conn net.Conn, session *Session, nonce []byte, handles []int, jobNonces [][]byte, opts ...Option) ([]string, error) {
 	ev, err := Request(conn, Challenge{
 		Nonce:     nonce,
@@ -312,18 +313,20 @@ func (v *Verifier) ChallengeAndVerifyBatch(conn net.Conn, session *Session, nonc
 	if len(ev.Logs) != len(handles) {
 		return nil, fmt.Errorf("attest: batch evidence with %d logs for %d handles", len(ev.Logs), len(handles))
 	}
+	var b *Batch
+	if session != nil {
+		b, err = session.AuthenticateBatch(ev.Batch)
+	} else {
+		b, err = v.AuthenticateBatch(ev.Cert, ev.Batch)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("attest: batch: %w", err)
+	}
 	names := make([]string, len(handles))
 	for i := range handles {
-		var name string
-		if session != nil {
-			name, err = session.VerifyBatchedQuote(ev.Batch, i, ev.Logs[i], jobNonces[i])
-		} else {
-			name, err = v.VerifyBatchedQuote(ev.Cert, ev.Batch, i, ev.Logs[i], jobNonces[i])
-		}
-		if err != nil {
+		if names[i], err = b.VerifyEntry(i, ev.Logs[i], jobNonces[i]); err != nil {
 			return nil, fmt.Errorf("attest: batch entry %d: %w", i, err)
 		}
-		names[i] = name
 	}
 	return names, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/tpm"
 )
 
@@ -32,7 +33,7 @@ func newBatchPlatform(t *testing.T, v *Verifier, ca *PrivacyCA, n int) *batchPla
 	p := &batchPlatform{chip: chip, cert: cert, logs: map[int]Log{}}
 	for i := 0; i < n; i++ {
 		image := []byte(fmt.Sprintf("pal-%d", i))
-		meas := tpm.Measure(image)
+		meas := evidence.Measure(image)
 		v.Approve(fmt.Sprintf("pal-%d", i), meas)
 		h, err := chip.AllocateSePCR(i, meas)
 		if err != nil {
@@ -142,10 +143,12 @@ func TestRemoteSessionResumption(t *testing.T) {
 		t.Fatal("no session")
 	}
 
-	// Second exchange rides the session: HMAC only, zero new RSA.
-	_, missesBefore := v.MemoStats()
+	// Second exchange rides the session: HMAC only, no RSA. The platform
+	// strips the batch's AIK signature, which the session never checks
+	// and the stateless path would reject.
 	handles := []int{2, 3}
 	nonces := jobNonces("b", 2)
+	var unsigned *tpm.BatchQuote
 	exchange(t, func(ch Challenge) (*Evidence, error) {
 		// The platform keeps MACing under the open session.
 		reqs := []tpm.BatchRequest{{Handle: 2, Nonce: ch.JobNonces[0]}, {Handle: 3, Nonce: ch.JobNonces[1]}}
@@ -153,6 +156,8 @@ func TestRemoteSessionResumption(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
+		q.Signature = nil
+		unsigned = q
 		return &Evidence{Cert: p.cert, Batch: q, Logs: []Log{p.logs[2], p.logs[3]}}, nil
 	}, func(conn net.Conn) {
 		names, err := v.ChallengeAndVerifyBatch(conn, sess, []byte("batch-2"), handles, nonces, WithTimeout(5*time.Second))
@@ -164,8 +169,8 @@ func TestRemoteSessionResumption(t *testing.T) {
 			t.Errorf("names = %v", names)
 		}
 	})
-	if _, misses := v.MemoStats(); misses != missesBefore {
-		t.Fatalf("sessionful exchange performed %d RSA verifications, want 0", misses-missesBefore)
+	if _, err := v.AuthenticateBatch(p.cert, unsigned); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("stateless path on the unsigned batch: err = %v, want ErrBadSignature", err)
 	}
 }
 

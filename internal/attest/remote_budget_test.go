@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/tpm"
 )
 
@@ -35,7 +36,7 @@ func TestServeTimedOutConnectionDoesNotConsumeQuote(t *testing.T) {
 
 	// Two registers parked in the Quote state, as if two PALs had exited
 	// cleanly and were awaiting attestation.
-	meas := tpm.Measure([]byte("parked PAL"))
+	meas := evidence.Measure([]byte("parked PAL"))
 	var handles [2]int
 	for i := range handles {
 		h, err := chip.AllocateSePCR(0, meas)

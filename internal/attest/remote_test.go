@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/tpm"
 )
 
@@ -24,7 +25,7 @@ func platformSide(t *testing.T, image []byte) (Responder, *tpm.TPM, *AIKCert, *P
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := Log{{PCR: 17, Description: "PAL", Measurement: tpm.Measure(image)}}
+	log := Log{{PCR: 17, Description: "PAL", Measurement: evidence.Measure(image)}}
 	respond := func(ch Challenge) (*Evidence, error) {
 		q, err := tb.chip.QuoteCommand(tpm.Selection{17}, ch.Nonce)
 		if err != nil {
@@ -44,7 +45,7 @@ func TestRemoteAttestationOverPipe(t *testing.T) {
 	go func() { done <- ServeOne(server, respond) }()
 
 	v := NewVerifier(ca.Public())
-	v.Approve("remote-pal", tpm.Measure(image))
+	v.Approve("remote-pal", evidence.Measure(image))
 	name, err := v.ChallengeAndVerify(client, []byte("remote nonce 1"))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestRemoteAttestationOverTCP(t *testing.T) {
 	go Serve(l, respond)
 
 	v := NewVerifier(ca.Public())
-	v.Approve("tcp-pal", tpm.Measure(image))
+	v.Approve("tcp-pal", evidence.Measure(image))
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +116,7 @@ func TestRemoteVerifierRejectsWrongCA(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewVerifier(otherCA.Public())
-	v.Approve("pal", tpm.Measure(image))
+	v.Approve("pal", evidence.Measure(image))
 	if _, err := v.ChallengeAndVerify(client, []byte("n")); err == nil {
 		t.Fatal("evidence verified against an untrusted CA")
 	}
@@ -138,7 +139,7 @@ func TestRemoteSePCRAttestation(t *testing.T) {
 	tb := newTPMWithBus(t, 23, 2)
 	ca := newCA(t)
 	cert, _ := ca.Certify("rec-platform", tb.chip.AIKPublic())
-	meas := tpm.Measure([]byte("rec pal"))
+	meas := evidence.Measure([]byte("rec pal"))
 	h, err := tb.chip.AllocateSePCR(0, meas)
 	if err != nil {
 		t.Fatal(err)

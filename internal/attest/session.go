@@ -2,30 +2,33 @@ package attest
 
 import (
 	"crypto/hmac"
-	"crypto/rsa"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
-	"minimaltcb/internal/tpm"
+	"minimaltcb/internal/evidence"
 )
 
 // This file is the verifier's side of batched and sessionful attestation
-// (tpm/batch.go). Two layers:
+// (evidence/batch.go). A batch is authenticated once, then its entries are
+// checked one by one:
 //
-//   - VerifyBatchedQuote on the Verifier: the stateless path. Full AIK
-//     cert chain plus the batch's one RSA signature, then the caller's
-//     inclusion proof. Every batch pays one RSA verify, amortized over its
-//     N entries.
+//   - Verifier.AuthenticateBatch is the stateless path: the full AIK
+//     certificate chain plus the batch's one RSA signature over the Merkle
+//     root, shared by all N entries.
 //
-//   - Session: the resumption path. NewSession verifies the cert chain
-//     and the TPM's signed session grant ONCE, then holds the grant's
-//     HMAC key; VerifyBatchedQuote on the session authenticates each
-//     subsequent batch by HMAC alone — no RSA at all on the steady-state
+//   - Session.AuthenticateBatch is the resumption path. NewSession
+//     verifies the cert chain and the TPM's signed session grant ONCE,
+//     then holds the grant's HMAC key; every later batch is authenticated
+//     by its session ID and one HMAC — no RSA at all on the steady-state
 //     path. The session key's authenticity rests entirely on the grant
 //     signature checked at open time, which is why a session must never
 //     accept a batch whose MAC fails (ErrStaleSession): a stale or
 //     cross-session MAC is indistinguishable from a forgery.
+//
+// Both return a *Batch whose VerifyEntry checks one job's inclusion proof
+// against the authenticated root, replays its log, approves the PAL and
+// consumes the job's nonce last.
 
 // Batch verification errors.
 var (
@@ -35,32 +38,49 @@ var (
 	ErrBadGrant     = errors.New("attest: session grant signature invalid")
 )
 
-// verifyBatchEntry validates one job's slice of a batch quote against the
-// (already authenticated) root: per-job nonce binding, inclusion proof,
-// log replay, SKILL marker, and PAL approval. It does NOT consume the
-// nonce; callers do that last.
-func (v *Verifier) verifyBatchEntry(q *tpm.BatchQuote, entry int, log Log, nonce []byte) (string, error) {
-	if entry < 0 || entry >= len(q.Entries) {
-		return "", fmt.Errorf("attest: batch entry %d out of range (batch of %d)", entry, len(q.Entries))
+// Batch is a batch quote whose root and count were authenticated, by AIK
+// signature or session MAC. It holds its own copy of the quote's header,
+// so changing the caller's quote afterwards cannot change what was
+// authenticated; entries are checked against it one at a time.
+type Batch struct {
+	v *Verifier
+	q evidence.BatchQuote
+}
+
+// Size is the number of entries the authenticated root covers.
+func (b *Batch) Size() int { return b.q.Count }
+
+// VerifyEntry validates entry i of the batch: per-job nonce binding,
+// inclusion proof against the authenticated root, log replay, SKILL marker
+// and PAL approval. The per-job nonce is consumed last, so a failed
+// verification never burns it. It returns the approved PAL's name.
+func (b *Batch) VerifyEntry(i int, log Log, nonce []byte) (string, error) {
+	if i < 0 || i >= len(b.q.Entries) {
+		return "", fmt.Errorf("attest: batch entry %d out of range (batch of %d)", i, len(b.q.Entries))
 	}
-	e := &q.Entries[entry]
+	e := &b.q.Entries[i]
 	if string(e.Nonce) != string(nonce) {
 		return "", ErrWrongNonce
 	}
-	leaf := tpm.BatchLeaf(e.Handle, e.Composite, e.Nonce)
-	if !tpm.VerifyBatchInclusion(leaf, e.Index, q.Count, e.Proof, q.Root) {
+	if !evidence.VerifyBatchInclusion(b.q.Root, b.q.Count, e) {
 		return "", ErrBadProof
 	}
-	return v.approveSePCRLog(log, e.Composite)
+	name, err := b.v.approveSePCRLog(log, e.Composite)
+	if err != nil {
+		return "", err
+	}
+	if err := b.v.consumeNonce(nonce); err != nil {
+		return "", err
+	}
+	return name, nil
 }
 
 // approveSePCRLog replays a sePCR event log against a quoted composite and
-// returns the approved PAL name — the common trailing half of the
-// stateless and sessionful paths.
-func (v *Verifier) approveSePCRLog(log Log, composite tpm.Digest) (string, error) {
-	var value tpm.Digest
+// returns the approved PAL name.
+func (v *Verifier) approveSePCRLog(log Log, composite evidence.Digest) (string, error) {
+	var value evidence.Digest
 	for _, e := range log {
-		value = tpm.ExtendDigest(value, e.Measurement)
+		value = evidence.ExtendDigest(value, e.Measurement)
 	}
 	if value != composite {
 		return "", ErrLogMismatch
@@ -68,7 +88,7 @@ func (v *Verifier) approveSePCRLog(log Log, composite tpm.Digest) (string, error
 	// A killed PAL's register contains the SKILL marker; its chain will
 	// not match an approved-PAL-only log, but defend explicitly anyway.
 	for _, e := range log {
-		if e.Measurement == tpm.SKillMarker {
+		if e.Measurement == evidence.SKillMarker {
 			return "", fmt.Errorf("%w: PAL was killed (SKILL marker in log)", ErrUnknownPAL)
 		}
 	}
@@ -84,63 +104,28 @@ func (v *Verifier) approveSePCRLog(log Log, composite tpm.Digest) (string, error
 	return name, nil
 }
 
+// AuthenticateBatch checks a batch quote without session state: the AIK
+// certificate chain, the batch's shape, and its one RSA signature over the
+// Merkle root. Its entries are then checked with Batch.VerifyEntry.
+func (v *Verifier) AuthenticateBatch(cert *AIKCert, q *evidence.BatchQuote) (*Batch, error) {
+	if err := VerifyCert(v.caPub, cert); err != nil {
+		return nil, err
+	}
+	if err := evidence.VerifyBatchSignature(cert.AIK, q); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSignature, err)
+	}
+	return &Batch{v: v, q: *q}, nil
+}
+
 // VerifyBatchedQuote validates one entry of a batch quote without session
-// state: AIK certificate chain, the batch's single RSA signature over the
-// Merkle root, the entry's inclusion proof, and the sePCR log chain. The
-// per-job nonce is consumed last, so a failed verification (including a
-// batch that dies mid-assembly) never burns it.
-func (v *Verifier) VerifyBatchedQuote(cert *AIKCert, q *tpm.BatchQuote, entry int, log Log, nonce []byte) (string, error) {
-	if q == nil {
-		return "", errors.New("attest: nil batch quote")
-	}
-	if err := v.verifyCertMemo(cert); err != nil {
-		return "", err
-	}
-	if err := v.verifyBatchSigMemo(cert.AIK, q); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadSignature, err)
-	}
-	name, err := v.verifyBatchEntry(q, entry, log, nonce)
+// state: AuthenticateBatch, then Batch.VerifyEntry. A caller with several
+// entries of one batch authenticates once and verifies each entry instead.
+func (v *Verifier) VerifyBatchedQuote(cert *AIKCert, q *evidence.BatchQuote, entry int, log Log, nonce []byte) (string, error) {
+	b, err := v.AuthenticateBatch(cert, q)
 	if err != nil {
 		return "", err
 	}
-	if err := v.consumeNonce(nonce); err != nil {
-		return "", err
-	}
-	return name, nil
-}
-
-// verifyBatchSigMemo is tpm.VerifyBatchQuote's signature check with the
-// verifier's success memo: the root signature is shared by every entry of
-// the batch, so N jobs verifying the same batch pay one RSA verify.
-// Structural checks (count/entries agreement) are repeated per call; only
-// the signature is memoized.
-func (v *Verifier) verifyBatchSigMemo(aik *rsa.PublicKey, q *tpm.BatchQuote) error {
-	if q.Count == 0 || len(q.Entries) == 0 {
-		return tpm.ErrEmptyBatch
-	}
-	if len(q.Entries) != q.Count {
-		return fmt.Errorf("attest: batch count %d but %d entries", q.Count, len(q.Entries))
-	}
-	signed := tpm.BatchSignedDigest(q.Root, q.Count, q.Nonce)
-	key := string(aik.N.Bytes()) + "|batch|" + string(signed[:]) + "|" + string(q.Signature)
-	v.mu.Lock()
-	if v.verifiedSigs[key] {
-		v.memoHits++
-		v.mu.Unlock()
-		return nil
-	}
-	v.memoMisses++
-	v.mu.Unlock()
-	if err := tpm.VerifyBatchSignature(aik, q); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	if len(v.verifiedSigs) >= nonceWindow {
-		v.verifiedSigs = map[string]bool{}
-	}
-	v.verifiedSigs[key] = true
-	v.mu.Unlock()
-	return nil
+	return b.VerifyEntry(entry, log, nonce)
 }
 
 // Session is a resumed verification channel to one platform: the AIK cert
@@ -151,14 +136,9 @@ type Session struct {
 	v    *Verifier
 	cert *AIKCert
 	id   uint64
-	key  tpm.Digest
-
-	mu sync.Mutex
-	// seen memoizes HMAC-authenticated batch digests (bounded like the
-	// verifier's memo tables); batches counts distinct batches admitted,
-	// for amortization accounting.
-	seen    map[tpm.Digest]bool
-	batches uint64
+	key  evidence.Digest
+	// batches counts successful authentications.
+	batches atomic.Uint64
 }
 
 // NewSession opens a verification session from a TPM session grant: it
@@ -167,83 +147,59 @@ type Session struct {
 // the caller's nonce, and consumes the nonce — last, so a bad grant
 // doesn't burn it. The returned session trusts grant.Key for HMAC
 // authentication of batches.
-func (v *Verifier) NewSession(cert *AIKCert, grant *tpm.QuoteSession, nonce []byte) (*Session, error) {
+func (v *Verifier) NewSession(cert *AIKCert, grant *evidence.QuoteSession, nonce []byte) (*Session, error) {
 	if grant == nil {
 		return nil, errors.New("attest: nil session grant")
 	}
-	if err := v.verifyCertMemo(cert); err != nil {
+	if err := VerifyCert(v.caPub, cert); err != nil {
 		return nil, err
 	}
 	if string(grant.Nonce) != string(nonce) {
 		return nil, ErrWrongNonce
 	}
-	if err := tpm.VerifySessionGrant(cert.AIK, grant); err != nil {
+	if err := evidence.VerifySessionGrant(cert.AIK, grant); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadGrant, err)
 	}
 	if err := v.consumeNonce(nonce); err != nil {
 		return nil, err
 	}
-	return &Session{
-		v:    v,
-		cert: cert,
-		id:   grant.ID,
-		key:  grant.Key,
-		seen: map[tpm.Digest]bool{},
-	}, nil
+	return &Session{v: v, cert: cert, id: grant.ID, key: grant.Key}, nil
 }
 
 // PlatformID names the platform the session is bound to.
 func (s *Session) PlatformID() string { return s.cert.PlatformID }
 
-// Batches reports how many distinct batches the session has authenticated.
-func (s *Session) Batches() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batches
+// Batches reports how many batches the session has authenticated.
+func (s *Session) Batches() uint64 { return s.batches.Load() }
+
+// AuthenticateBatch checks a batch quote over the session's HMAC channel,
+// with no RSA: the batch must be bound to this session (SessionID), have a
+// valid shape, and carry a valid MAC under the session key over the
+// batch's signed digest. Its AIK signature is not consulted.
+func (s *Session) AuthenticateBatch(q *evidence.BatchQuote) (*Batch, error) {
+	if q == nil {
+		return nil, errors.New("attest: nil batch quote")
+	}
+	if q.SessionID != s.id {
+		return nil, ErrWrongSession
+	}
+	if err := evidence.CheckBatch(q); err != nil {
+		return nil, err
+	}
+	signed := evidence.BatchSignedDigest(q.Root, q.Count, q.Nonce)
+	if !hmac.Equal(q.SessionMAC, evidence.SessionMAC(s.key, signed)) {
+		return nil, ErrStaleSession
+	}
+	s.batches.Add(1)
+	return &Batch{v: s.v, q: *q}, nil
 }
 
 // VerifyBatchedQuote validates one entry of a batch quote over the
-// session's HMAC channel: no RSA anywhere on this path. The batch must be
-// bound to this session (SessionID) and carry a valid MAC under the
-// session key over the batch's signed digest; then the entry verifies
-// exactly as in the stateless path, with the per-job nonce consumed last.
-func (s *Session) VerifyBatchedQuote(q *tpm.BatchQuote, entry int, log Log, nonce []byte) (string, error) {
-	if q == nil {
-		return "", errors.New("attest: nil batch quote")
-	}
-	if q.SessionID != s.id {
-		return "", ErrWrongSession
-	}
-	if q.Count == 0 || len(q.Entries) == 0 {
-		return "", tpm.ErrEmptyBatch
-	}
-	if len(q.Entries) != q.Count {
-		return "", fmt.Errorf("attest: batch count %d but %d entries", q.Count, len(q.Entries))
-	}
-	signed := tpm.BatchSignedDigest(q.Root, q.Count, q.Nonce)
-	s.mu.Lock()
-	known := s.seen[signed]
-	s.mu.Unlock()
-	if !known {
-		if !hmac.Equal(q.SessionMAC, tpm.SessionMAC(s.key, signed)) {
-			return "", ErrStaleSession
-		}
-		s.mu.Lock()
-		if !s.seen[signed] {
-			if len(s.seen) >= nonceWindow {
-				s.seen = map[tpm.Digest]bool{}
-			}
-			s.seen[signed] = true
-			s.batches++
-		}
-		s.mu.Unlock()
-	}
-	name, err := s.v.verifyBatchEntry(q, entry, log, nonce)
+// session's HMAC channel: AuthenticateBatch, then Batch.VerifyEntry.
+func (s *Session) VerifyBatchedQuote(q *evidence.BatchQuote, entry int, log Log, nonce []byte) (string, error) {
+	b, err := s.AuthenticateBatch(q)
 	if err != nil {
 		return "", err
 	}
-	if err := s.v.consumeNonce(nonce); err != nil {
-		return "", err
-	}
-	return name, nil
+	return b.VerifyEntry(entry, log, nonce)
 }

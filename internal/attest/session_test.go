@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/tpm"
 )
 
@@ -36,13 +37,13 @@ func newBatchFixture(t *testing.T, n int, sessionID uint64, chip *tpm.TPM) *batc
 	nonces := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		image := []byte(fmt.Sprintf("pal-%d", i))
-		meas := tpm.Measure(image)
+		meas := evidence.Measure(image)
 		v.Approve(fmt.Sprintf("pal-%d", i), meas)
 		h, err := chip.AllocateSePCR(i, meas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		input := tpm.Measure([]byte(fmt.Sprintf("input-%d", i)))
+		input := evidence.Measure([]byte(fmt.Sprintf("input-%d", i)))
 		if _, err := chip.SePCRExtend(h, i, input); err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +75,6 @@ func TestVerifyBatchedQuoteStateless(t *testing.T) {
 			t.Fatalf("entry %d approved as %q, want %q", i, name, want)
 		}
 	}
-	// The root signature was verified once; later entries hit the memo.
-	hits, _ := f.v.MemoStats()
-	if hits < 3 {
-		t.Fatalf("batch signature memo hits = %d, want >= 3", hits)
-	}
 	// Replaying an already-consumed per-job nonce fails.
 	if _, err := f.v.VerifyBatchedQuote(f.cert, f.q, 0, f.logs[0], f.nonces[0]); !errors.Is(err, ErrNonceReplay) {
 		t.Fatalf("replay: err = %v, want ErrNonceReplay", err)
@@ -96,19 +92,26 @@ func TestSessionVerifyBatchedQuote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, missesBefore := f.v.MemoStats()
+	// The HMAC channel does all the work: with its AIK signature removed,
+	// the batch still authenticates over the session, while the stateless
+	// path, which checks that signature, rejects it.
+	unsigned := *f.q
+	unsigned.Signature = nil
+	if _, err := f.v.VerifyBatchedQuote(f.cert, &unsigned, 0, f.logs[0], f.nonces[0]); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("stateless path on an unsigned batch: err = %v, want ErrBadSignature", err)
+	}
+	b, err := s.AuthenticateBatch(&unsigned)
+	if err != nil {
+		t.Fatalf("session rejected the unsigned batch: %v", err)
+	}
 	for i := range f.logs {
-		name, err := s.VerifyBatchedQuote(f.q, i, f.logs[i], f.nonces[i])
+		name, err := b.VerifyEntry(i, f.logs[i], f.nonces[i])
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
 		if want := fmt.Sprintf("pal-%d", i); name != want {
 			t.Fatalf("entry %d approved as %q, want %q", i, name, want)
 		}
-	}
-	// The HMAC channel did all the work: zero new RSA verifications.
-	if _, misses := f.v.MemoStats(); misses != missesBefore {
-		t.Fatalf("session path performed %d RSA verifications, want 0", misses-missesBefore)
 	}
 	if s.Batches() != 1 {
 		t.Fatalf("session counted %d batches, want 1", s.Batches())
@@ -131,7 +134,7 @@ func TestSessionTamperCases(t *testing.T) {
 	var oldKey tpm.Digest
 	oldKey[7] = 0x42
 	stale := *f.q
-	stale.SessionMAC = tpm.SessionMAC(oldKey, tpm.BatchSignedDigest(stale.Root, stale.Count, stale.Nonce))
+	stale.SessionMAC = evidence.SessionMAC(oldKey, evidence.BatchSignedDigest(stale.Root, stale.Count, stale.Nonce))
 	if _, err := s.VerifyBatchedQuote(&stale, 0, f.logs[0], f.nonces[0]); !errors.Is(err, ErrStaleSession) {
 		t.Fatalf("stale MAC: err = %v, want ErrStaleSession", err)
 	}

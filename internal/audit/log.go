@@ -20,7 +20,7 @@ import (
 
 // TreeHead is a signed commitment to the log's first Size events. Sig is a
 // PKCS#1 v1.5 signature by the platform AIK over SHA-1 of SigningMessage
-// (SHA-1 because that is the modeled TPM's hash mill — see tpm.Measure);
+// (SHA-1 because that is the modeled TPM's hash mill — see evidence.Measure);
 // it is empty when the log has no signer (a verifier-side or router log).
 type TreeHead struct {
 	Size   uint64 `json:"size"`

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"minimaltcb/internal/attest"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/tpm"
 )
 
@@ -70,7 +71,7 @@ func TypicalChain() Chain {
 func (c Chain) Measure(chip *tpm.TPM) (attest.Log, error) {
 	log := make(attest.Log, 0, len(c))
 	for _, comp := range c {
-		m := tpm.Measure(comp.Code)
+		m := evidence.Measure(comp.Code)
 		if _, err := chip.Extend(comp.PCR, m); err != nil {
 			return nil, fmt.Errorf("boot: measuring %s: %w", comp.Name, err)
 		}
@@ -110,7 +111,7 @@ func (c Chain) TCBBytes() int {
 // trusted boot unmanageable at scale — fails the whole platform. It
 // returns the recognized component names in boot order.
 func VerifyChainQuote(cert *attest.AIKCert, q *tpm.Quote, log attest.Log, nonce []byte, knownGood map[tpm.Digest]string) ([]string, error) {
-	if err := tpm.VerifyQuote(cert.AIK, q); err != nil {
+	if err := evidence.VerifyQuote(cert.AIK, q); err != nil {
 		return nil, fmt.Errorf("boot: quote signature: %w", err)
 	}
 	if string(q.Nonce) != string(nonce) {
@@ -121,7 +122,7 @@ func VerifyChainQuote(cert *attest.AIKCert, q *tpm.Quote, log attest.Log, nonce 
 	for i, idx := range q.Selection {
 		vals[i] = finals[idx]
 	}
-	if tpm.CompositeDigest(q.Selection, vals) != q.Composite {
+	if evidence.CompositeDigest(q.Selection, vals) != q.Composite {
 		return nil, fmt.Errorf("boot: log does not replay to quoted composite")
 	}
 	names := make([]string, 0, len(log))

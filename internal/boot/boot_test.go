@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"minimaltcb/internal/attest"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/sim"
 	"minimaltcb/internal/tpm"
@@ -24,7 +25,7 @@ func newChip(t *testing.T) *tpm.TPM {
 func approveAll(c Chain) map[tpm.Digest]string {
 	m := map[tpm.Digest]string{}
 	for _, comp := range c {
-		m[tpm.Measure(comp.Code)] = comp.Name
+		m[evidence.Measure(comp.Code)] = comp.Name
 	}
 	return m
 }

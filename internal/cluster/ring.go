@@ -21,7 +21,7 @@ import (
 	"sort"
 	"sync"
 
-	"minimaltcb/internal/tpm"
+	"minimaltcb/internal/evidence"
 )
 
 // DefaultVNodes is the virtual-node count per backend. 64 points per
@@ -47,7 +47,7 @@ func fnv64a(b []byte) uint64 {
 // affinity follows the attested identity, not the tenant name: two tenants
 // submitting byte-identical source share a shard and its warm caches.
 func RouteKey(source string) uint64 {
-	d := tpm.Measure([]byte(source))
+	d := evidence.Measure([]byte(source))
 	return fnv64a(d[:])
 }
 

@@ -686,8 +686,6 @@ func (r *Router) ClusterStats() palsvc.Metrics {
 		out.MaxSePCROccupancy += m.MaxSePCROccupancy
 		out.CacheHits += m.CacheHits
 		out.CacheMisses += m.CacheMisses
-		out.VerifyMemoHits += m.VerifyMemoHits
-		out.VerifyMemoMisses += m.VerifyMemoMisses
 		out.QuoteBatches += m.QuoteBatches
 		out.BatchedJobs += m.BatchedJobs
 		out.QuoteSigns += m.QuoteSigns

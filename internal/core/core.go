@@ -26,6 +26,7 @@ import (
 
 	"minimaltcb/internal/attest"
 	"minimaltcb/internal/cpu"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/osker"
 	"minimaltcb/internal/pal"
 	"minimaltcb/internal/platform"
@@ -101,7 +102,7 @@ type PAL struct {
 }
 
 // Measurement returns the PAL's attested identity: SHA-1 of its image.
-func (p *PAL) Measurement() tpm.Digest { return tpm.Measure(p.Image.Bytes) }
+func (p *PAL) Measurement() tpm.Digest { return evidence.Measure(p.Image.Bytes) }
 
 // CompilePAL assembles PAL source (see internal/isa for the syntax and
 // internal/cpu for the SVC ABI) into a launchable image.
@@ -166,7 +167,7 @@ func (s *System) legacyLog(p *PAL, sess *sea.Session) attest.Log {
 	if s.Machine.ACMod != nil {
 		// Intel: ACMod in 17, PAL in 18.
 		return attest.Log{
-			{PCR: 17, Description: "ACMod", Measurement: tpm.Measure(s.Machine.ACMod.Code)},
+			{PCR: 17, Description: "ACMod", Measurement: evidence.Measure(s.Machine.ACMod.Code)},
 			{PCR: 18, Description: p.Name, Measurement: p.Measurement()},
 		}
 	}

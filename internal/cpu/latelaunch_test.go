@@ -7,10 +7,10 @@ import (
 
 	"minimaltcb/internal/acmod"
 	"minimaltcb/internal/chipset"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/mem"
 	"minimaltcb/internal/pal"
-	"minimaltcb/internal/tpm"
 )
 
 // place writes an image padded to size at a fixed base and returns the base.
@@ -43,7 +43,7 @@ func TestSKINITMeasuresAndRuns(t *testing.T) {
 	}
 	// PCR17 = extend(0, SHA1(image)).
 	img, _ := r.chip.Memory().ReadRaw(res.Region.Base, res.Region.Size)
-	wantMeas := tpm.Measure(img)
+	wantMeas := evidence.Measure(img)
 	if res.PALMeasurement != wantMeas {
 		t.Fatal("reported measurement is not the image hash")
 	}
@@ -180,7 +180,7 @@ func TestSENTERMeasuresBothPCRs(t *testing.T) {
 		t.Fatal("result PCRs differ from TPM state")
 	}
 	img, _ := r.chip.Memory().ReadRaw(res.Region.Base, res.Region.Size)
-	if res.PALMeasurement != tpm.Measure(img) {
+	if res.PALMeasurement != evidence.Measure(img) {
 		t.Fatal("PAL measurement is not the image hash")
 	}
 	if pcr17 == pcr18 {

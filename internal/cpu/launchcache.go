@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/tpm"
 )
 
@@ -67,7 +68,7 @@ func (c *CPU) measureCached(tag uint32, data []byte) tpm.Digest {
 			return e.meas
 		}
 	}
-	d := tpm.Measure(data)
+	d := evidence.Measure(data)
 	e := &lm.entries[lm.clock%launchCacheEntries]
 	lm.clock++
 	e.tag = tag

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/mem"
 	"minimaltcb/internal/pal"
-	"minimaltcb/internal/tpm"
 )
 
 // Tests for the launch-measurement cache (launchcache.go). The cache may
@@ -41,7 +41,7 @@ func TestLaunchCacheRepeatedSKINITIdentical(t *testing.T) {
 		t.Fatal("cached launch produced a different PCR 17")
 	}
 	img, _ := r.chip.Memory().ReadRaw(first.Region.Base, first.Region.Size)
-	if want := tpm.Measure(img); first.PALMeasurement != want {
+	if want := evidence.Measure(img); first.PALMeasurement != want {
 		t.Fatal("measurement is not the image hash")
 	}
 	if missCost != hitCost {
@@ -75,7 +75,7 @@ func TestLaunchCacheTamperInvalidates(t *testing.T) {
 		t.Fatal("tampered SLB measured as the original — the cache trusted a stale digest")
 	}
 	img, _ := r.chip.Memory().ReadRaw(second.Region.Base, second.Region.Size)
-	if want := tpm.Measure(img); second.PALMeasurement != want {
+	if want := evidence.Measure(img); second.PALMeasurement != want {
 		t.Fatal("post-tamper measurement is not the current image hash")
 	}
 }
@@ -100,7 +100,7 @@ func TestLaunchCacheEvictionCorrectness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := tpm.Measure(im.Bytes); res.PALMeasurement != want {
+			if want := evidence.Measure(im.Bytes); res.PALMeasurement != want {
 				t.Fatalf("round %d image %d: measurement is not the image hash", round, i)
 			}
 		}
@@ -142,7 +142,7 @@ func TestLaunchCacheSENTERRepeatIdentical(t *testing.T) {
 		t.Fatal("cached SENTER diverged from the first launch")
 	}
 	img, _ := r.chip.Memory().ReadRaw(first.Region.Base, first.Region.Size)
-	if want := tpm.Measure(img); first.PALMeasurement != want {
+	if want := evidence.Measure(img); first.PALMeasurement != want {
 		t.Fatal("SENTER measurement is not the PAL hash")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sim"
 	"minimaltcb/internal/tpm"
@@ -55,7 +56,7 @@ func Figure3(cfg Config) ([]Figure3Row, error) {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			// PCR Extend.
 			sw := sim.StartStopwatch(clock)
-			if _, err := chip.Extend(10, tpm.Measure([]byte("event"))); err != nil {
+			if _, err := chip.Extend(10, evidence.Measure([]byte("event"))); err != nil {
 				return nil, err
 			}
 			samples["PCR Extend"].Add(sw.Elapsed())

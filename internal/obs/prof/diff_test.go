@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"minimaltcb/internal/cpu"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/isa"
 	"minimaltcb/internal/obs"
 	"minimaltcb/internal/obs/prof"
@@ -299,7 +300,7 @@ func TestProfilerOffRecordsNothing(t *testing.T) {
 	if _, err := mg.RunSlice(mg.Kernel.Machine.CPUs[1], s); err != nil {
 		t.Fatal(err)
 	}
-	if got := mg.Prof.HotPCs(tpm.Measure(im.Bytes), 4); got != nil {
+	if got := mg.Prof.HotPCs(evidence.Measure(im.Bytes), 4); got != nil {
 		t.Fatalf("nil collector produced samples %v", got)
 	}
 	var _ cpu.StopReason // keep the cpu import honest about its purpose

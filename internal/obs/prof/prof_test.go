@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"minimaltcb/internal/cpu"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/isa"
 	"minimaltcb/internal/pal"
 	"minimaltcb/internal/tpm"
@@ -35,7 +36,7 @@ func testImage(t *testing.T) (pal.Image, tpm.Digest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return im, tpm.Measure(im.Bytes)
+	return im, evidence.Measure(im.Bytes)
 }
 
 func TestLeadersAndBlockStart(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"minimaltcb/internal/obs"
 	"minimaltcb/internal/sim"
 	"minimaltcb/internal/sksm"
-	"minimaltcb/internal/tpm"
 )
 
 // The pipelined quote batcher is the service's one attestation path: each
@@ -20,13 +19,16 @@ import (
 // machine mutex (the §5.4.5 arbitration stand-in) — one AIK signature
 // over the Merkle root of every job's composite. With MaxSize <= 1 every
 // flush is a batch of one. Each worker gets back its leaf's inclusion
-// proof and verifies it lock-free, in parallel with other jobs.
+// proof against the authenticated root and verifies it lock-free, in
+// parallel with other jobs.
 //
 // The batcher also owns the machine's quote session: the first flush
 // opens one (one extra AIK signature and one verifier-side RSA verify),
 // and every later batch rides the HMAC channel — zero RSA on the
-// verifier in steady state. A failed session open degrades to stateless
-// batch verification and is retried on the next flush.
+// verifier in steady state. The batcher authenticates each batch once,
+// by that HMAC, before fanning it out. A failed session open degrades to
+// stateless authentication (the cert chain and the batch's one AIK
+// signature) and is retried on the next flush.
 
 // BatchPolicy configures the per-machine quote batcher.
 type BatchPolicy struct {
@@ -55,22 +57,21 @@ type quoteItem struct {
 	done chan quoteOutcome // buffered; the batcher never blocks here
 }
 
-// quoteOutcome is the batcher's answer: the signed batch plus this job's
-// leaf position and nonce, or the batch-level error. sess is the
-// verification session the batch is bound to (nil = verify stateless);
-// it rides the channel so workers never race the batcher on machine
-// session state.
+// quoteOutcome is the batcher's answer: the authenticated batch plus this
+// job's leaf position and nonce, or the batch-level error. auth is this
+// job's even share of the wall time the batcher spent authenticating the
+// batch, charged to its VERIFY stage.
 type quoteOutcome struct {
-	q     *tpm.BatchQuote
+	batch *attest.Batch
 	idx   int
 	nonce []byte
-	sess  *attest.Session
+	auth  time.Duration
 	err   error
 }
 
 // quoteBatched is the worker side of the batched QUOTE stage: hand the
-// parked register to the machine's batcher, wait for the signed batch,
-// then verify this job's inclusion proof lock-free. The caller has
+// parked register to the machine's batcher, wait for the authenticated
+// batch, then verify this job's inclusion proof lock-free. The caller has
 // dropped m.mu; the register is in Quote state and still counted by
 // admission until the batcher frees it.
 func (s *Service) quoteBatched(m *machine, t *task, p *core.PAL, res *JobResult, secb *sksm.SECB) error {
@@ -118,13 +119,14 @@ func (s *Service) batcher(m *machine) {
 
 // flushBatch signs one batch under a single machine-lock acquisition:
 // lazily open the quote session, one TPM_SEPCR_QuoteBatch over every
-// collected register, release the SECBs, then fan the entries back to
-// the waiting workers. The session opens inside the first job's quote
-// span, so its TPM command joins the trace that waited for it. On a
-// failed batch every register is freed unquoted (the TPM's injection
-// point sits before the signature, so failed batches leave registers
-// parked in Quote) and every job gets the same retryable error — with
-// its verifier nonce unconsumed, the supervisor retry can reuse it.
+// collected register, release the SECBs. Then, with the lock dropped, it
+// authenticates the batch once and fans it back to the waiting workers.
+// The session opens inside the first job's quote span, so its TPM
+// command joins the trace that waited for it. On a failed batch every
+// register is freed unquoted (the TPM's injection point sits before the
+// signature, so failed batches leave registers parked in Quote) and every
+// job gets the same retryable error — with its verifier nonce unconsumed,
+// the supervisor retry can reuse it.
 func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 	sys := m.sys
 	n := len(items)
@@ -208,8 +210,29 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 		return
 	}
 	s.noteMachineOK(m)
+
+	// Authenticate the batch once for all its jobs: over the session's
+	// HMAC channel when the batch is bound to one, by the cert chain and
+	// the one AIK signature otherwise. A failure is the jobs' verification
+	// failure, not the machine's.
+	aStart := time.Now()
+	var b *attest.Batch
+	var aerr error
+	if m.session != nil && q.SessionID != 0 {
+		b, aerr = m.session.AuthenticateBatch(q)
+	} else {
+		b, aerr = sys.Verifier.AuthenticateBatch(sys.Cert, q)
+	}
+	if aerr != nil {
+		err := fmt.Errorf("palsvc: quote verification: %w", aerr)
+		for _, it := range items {
+			it.done <- quoteOutcome{err: err}
+		}
+		return
+	}
+	auth := time.Since(aStart) / time.Duration(n)
 	for i, it := range items {
-		it.done <- quoteOutcome{q: q, idx: i, nonce: nonces[i], sess: m.session}
+		it.done <- quoteOutcome{batch: b, idx: i, nonce: nonces[i], auth: auth}
 	}
 }
 
@@ -233,10 +256,9 @@ func (s *Service) openQuoteSession(m *machine) {
 }
 
 // verifyBatched is the VERIFY stage: check this job's inclusion proof
-// against the signed root (over the session's HMAC channel when one is
-// open), replay the event log, and consume the per-job nonce. Pure
-// public-key/hash work — no machine lock, so it overlaps other jobs'
-// execution.
+// against the batch root the batcher authenticated, replay the event log,
+// and consume the per-job nonce. Pure hash work — no machine lock, so it
+// overlaps other jobs' execution.
 func (s *Service) verifyBatched(m *machine, t *task, p *core.PAL, res *JobResult, out quoteOutcome) error {
 	sys := m.sys
 	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
@@ -246,21 +268,15 @@ func (s *Service) verifyBatched(m *machine, t *task, p *core.PAL, res *JobResult
 	verifySp := s.tracer.StartSpan(t.root.Context(), "verify", "pipeline")
 	sys.Verifier.Approve(t.job.Name, p.Measurement())
 	log := attest.Log{{PCR: -1, Description: t.job.Name, Measurement: p.Measurement()}}
-	var name string
-	var verr error
-	if out.sess != nil && out.q.SessionID != 0 {
-		name, verr = out.sess.VerifyBatchedQuote(out.q, out.idx, log, out.nonce)
-	} else {
-		name, verr = sys.Verifier.VerifyBatchedQuote(sys.Cert, out.q, out.idx, log, out.nonce)
-	}
-	res.Verify = time.Since(vStart)
+	name, verr := out.batch.VerifyEntry(out.idx, log, out.nonce)
+	res.Verify = out.auth + time.Since(vStart)
 	s.metrics.observeVerify(res.Verify)
 	if verr != nil {
 		verifySp.Attr("error", verr.Error()).End()
 		return fmt.Errorf("palsvc: quote verification: %w", verr)
 	}
-	verifySp.Attr("verified_as", name).Attr("batch", fmt.Sprint(out.q.Count)).End()
+	verifySp.Attr("verified_as", name).Attr("batch", fmt.Sprint(out.batch.Size())).End()
 	res.VerifiedAs = name
-	res.BatchSize = out.q.Count
+	res.BatchSize = out.batch.Size()
 	return nil
 }

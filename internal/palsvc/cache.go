@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"minimaltcb/internal/core"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/tpm"
 )
 
@@ -28,7 +29,7 @@ func newPALCache() *palCache {
 // stalls cache hits; a racing duplicate compile is harmless (the image is
 // deterministic) and the first insert wins.
 func (c *palCache) get(name, source string) (*core.PAL, error) {
-	key := tpm.Measure([]byte(source))
+	key := evidence.Measure([]byte(source))
 	c.mu.Lock()
 	if p, ok := c.byKey[key]; ok {
 		c.hits++

@@ -107,24 +107,6 @@ func (s *Service) bindRegistry(r *obs.Registry) {
 		func() float64 { return float64(s.tcodeStats(func(t cpu.TCodeStats) int64 { return t.Bailouts })) })
 	r.CounterFunc("palsvc_block_invalidations_total", "Compiled blocks discarded after content or permission changes.",
 		func() float64 { return float64(s.tcodeStats(func(t cpu.TCodeStats) int64 { return t.Invalidations })) })
-	r.CounterFunc("palsvc_verify_memo_hits_total", "Verifier memo hits across machines.",
-		func() float64 {
-			var n uint64
-			for _, mc := range s.machines {
-				h, _ := mc.sys.Verifier.MemoStats()
-				n += h
-			}
-			return float64(n)
-		})
-	r.CounterFunc("palsvc_verify_memo_misses_total", "Verifier memo misses (full RSA verifications).",
-		func() float64 {
-			var n uint64
-			for _, mc := range s.machines {
-				_, m := mc.sys.Verifier.MemoStats()
-				n += m
-			}
-			return float64(n)
-		})
 }
 
 // tcodeStats sums one threaded-code tier counter across every core of every

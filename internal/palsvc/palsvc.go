@@ -193,8 +193,8 @@ type machine struct {
 
 	// Quote-batching state. batchCh feeds the machine's batcher
 	// goroutine; session and sessID are the lazily-opened quote session,
-	// touched only by that goroutine (workers receive the session over
-	// the outcome channel, so the channel send orders every access).
+	// touched only by that goroutine (workers receive the batch it
+	// authenticated, never the session).
 	batchCh chan *quoteItem
 	session *attest.Session
 	sessID  uint64

@@ -121,11 +121,10 @@ func TestImageCacheHits(t *testing.T) {
 		t.Fatalf("cache hits %d, want 4", m.CacheHits)
 	}
 	// The first job opened the machine's quote session (one RSA verify
-	// of the certificate chain); every job since verified over the
+	// of the certificate chain); every batch since was admitted over the
 	// session's HMAC channel, so the steady state is RSA-free.
-	if m.VerifyMemoMisses != 1 || m.VerifyMemoHits != 0 {
-		t.Fatalf("verifier memo hits=%d misses=%d, want only the session's one miss",
-			m.VerifyMemoHits, m.VerifyMemoMisses)
+	if got := s.machines[0].session.Batches(); got != m.QuoteBatches {
+		t.Fatalf("session admitted %d batches, want all %d", got, m.QuoteBatches)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/osker"
 	"minimaltcb/internal/pal"
 	"minimaltcb/internal/platform"
@@ -49,7 +50,7 @@ func TestExecuteSimplePAL(t *testing.T) {
 	}
 	// PCR 17 holds the image measurement chain.
 	pcr17, _ := rt.Kernel.Machine.TPM().PCRValue(17)
-	if pcr17 != tpm.ExtendDigest(tpm.Digest{}, tpm.Measure(im.Bytes)) {
+	if pcr17 != evidence.ExtendDigest(tpm.Digest{}, evidence.Measure(im.Bytes)) {
 		t.Fatal("PCR17 does not reflect the PAL image")
 	}
 }
@@ -286,7 +287,7 @@ func TestQuoteVerifiesAgainstAIK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tpm.VerifyQuote(rt.Kernel.Machine.TPM().AIKPublic(), q); err != nil {
+	if err := evidence.VerifyQuote(rt.Kernel.Machine.TPM().AIKPublic(), q); err != nil {
 		t.Fatalf("quote rejected: %v", err)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"minimaltcb/internal/cpu"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/sim"
-	"minimaltcb/internal/tpm"
 )
 
 // tpmTime accumulates time spent inside TPM service calls so the exec
@@ -39,7 +39,7 @@ func (s *Session) service(c *cpu.CPU, num uint16) (cpu.SvcAction, error) {
 			return 0, err
 		}
 		sw := sim.StartStopwatch(m.Clock)
-		_, err = m.TPM().Extend(tpm.FirstDynamicPCR, tpm.Measure(data))
+		_, err = m.TPM().Extend(evidence.FirstDynamicPCR, evidence.Measure(data))
 		s.charge("Extend", sw.Elapsed())
 		return cpu.SvcContinue, err
 

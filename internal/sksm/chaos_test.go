@@ -6,8 +6,8 @@ import (
 
 	"minimaltcb/internal/chaos"
 	"minimaltcb/internal/cpu"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/pal"
-	"minimaltcb/internal/tpm"
 )
 
 // TestLaunchFailureRollsBackAndReleasesPages pins the SLAUNCH failure
@@ -126,7 +126,7 @@ func TestChaosHookOffCostsNothing(t *testing.T) {
 		t.Fatal("fresh manager has a chaos hook")
 	}
 	chip := mg.Kernel.Machine.TPM()
-	meas := tpm.Measure([]byte("pal"))
+	meas := evidence.Measure([]byte("pal"))
 	allocs := testing.AllocsPerRun(200, func() {
 		h, err := chip.AllocateSePCR(0, meas)
 		if err != nil {

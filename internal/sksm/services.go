@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"minimaltcb/internal/cpu"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/isa"
-	"minimaltcb/internal/tpm"
 )
 
 // serviceFor builds the PAL ABI handler for a SECB, wrapped — only when
@@ -53,7 +53,7 @@ func (mg *Manager) serviceBase(s *SECB) cpu.ServiceFunc {
 			if err != nil {
 				return 0, err
 			}
-			_, err = m.TPM().SePCRExtend(s.SePCRHandle, c.ID, tpm.Measure(data))
+			_, err = m.TPM().SePCRExtend(s.SePCRHandle, c.ID, evidence.Measure(data))
 			return cpu.SvcContinue, err
 
 		case cpu.SvcNumSeal:

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"minimaltcb/internal/cpu"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/pal"
-	"minimaltcb/internal/tpm"
 )
 
 func TestServiceUnknownFaults(t *testing.T) {
@@ -38,7 +38,7 @@ func TestServiceExtendGoesToSePCR(t *testing.T) {
 		t.Fatalf("%v %v", reason, err)
 	}
 	after, _ := mg.Kernel.Machine.TPM().SePCRValue(s.SePCRHandle)
-	want := tpm.ExtendDigest(before, tpm.Measure([]byte("input")))
+	want := evidence.ExtendDigest(before, evidence.Measure([]byte("input")))
 	if after != want {
 		t.Fatal("svc 2 did not extend the PAL's sePCR")
 	}

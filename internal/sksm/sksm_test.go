@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"minimaltcb/internal/cpu"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/mem"
 	"minimaltcb/internal/osker"
 	"minimaltcb/internal/pal"
@@ -138,11 +139,14 @@ func TestLifecycleFirstLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tpm.VerifyBatchQuote(mg.Kernel.Machine.TPM().AIKPublic(), q); err != nil {
+	if err := evidence.VerifyBatchSignature(mg.Kernel.Machine.TPM().AIKPublic(), q); err != nil {
 		t.Fatal(err)
 	}
+	if !evidence.VerifyBatchInclusion(q.Root, q.Count, &q.Entries[0]) {
+		t.Fatal("batch of one: inclusion proof invalid")
+	}
 	// The quoted value is the PAL measurement chain.
-	want := tpm.ExtendDigest(tpm.Digest{}, tpm.Measure(im.Bytes))
+	want := evidence.ExtendDigest(tpm.Digest{}, evidence.Measure(im.Bytes))
 	if q.Entries[0].Composite != want {
 		t.Fatal("quoted sePCR is not the PAL measurement")
 	}
@@ -279,7 +283,7 @@ func TestMeasuredFlagNotHonoredFromStart(t *testing.T) {
 		t.Fatal("PAL ran without a sePCR binding")
 	}
 	v, _ := mg.Kernel.Machine.TPM().SePCRValue(s.SePCRHandle)
-	if v != tpm.ExtendDigest(tpm.Digest{}, tpm.Measure(im.Bytes)) {
+	if v != evidence.ExtendDigest(tpm.Digest{}, evidence.Measure(im.Bytes)) {
 		t.Fatal("PAL ran unmeasured")
 	}
 }

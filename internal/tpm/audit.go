@@ -1,5 +1,7 @@
 package tpm
 
+import "minimaltcb/internal/evidence"
+
 // This file is the chip's side of the tamper-evident audit layer
 // (internal/audit). Two pieces live here, deliberately small:
 //
@@ -47,5 +49,5 @@ func (t *TPM) auditEvent(op string, handle int, value Digest) {
 // layer's own domain string. Signing is memoized alongside quote
 // signatures, so re-signing an unchanged head is free.
 func (t *TPM) SignAuditHead(msg []byte) ([]byte, error) {
-	return memoSignPKCS1v15(t.aik, Measure(msg))
+	return memoSignPKCS1v15(t.aik, evidence.Measure(msg))
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/merkle"
 )
@@ -18,11 +19,11 @@ func quoteReady(t *testing.T, chip *TPM, n int) []BatchRequest {
 	t.Helper()
 	reqs := make([]BatchRequest, n)
 	for i := 0; i < n; i++ {
-		h, err := chip.AllocateSePCR(i, Measure([]byte(fmt.Sprintf("pal-%d", i))))
+		h, err := chip.AllocateSePCR(i, evidence.Measure([]byte(fmt.Sprintf("pal-%d", i))))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := chip.SePCRExtend(h, i, Measure([]byte(fmt.Sprintf("input-%d", i)))); err != nil {
+		if _, err := chip.SePCRExtend(h, i, evidence.Measure([]byte(fmt.Sprintf("input-%d", i)))); err != nil {
 			t.Fatal(err)
 		}
 		if err := chip.ReleaseSePCR(h, i); err != nil {
@@ -49,7 +50,7 @@ func TestQuoteBatchRoundTrip(t *testing.T) {
 	if q.Count != 5 || len(q.Entries) != 5 {
 		t.Fatalf("count=%d entries=%d, want 5", q.Count, len(q.Entries))
 	}
-	if err := VerifyBatchQuote(chip.AIKPublic(), q); err != nil {
+	if err := verifyBatch(chip.AIKPublic(), q); err != nil {
 		t.Fatalf("valid batch rejected: %v", err)
 	}
 	// Every register is consumed.
@@ -75,7 +76,7 @@ func TestQuoteBatchTamperMatrix(t *testing.T) {
 	e0.Proof = append([]merkle.Hash(nil), e0.Proof...)
 	e0.Proof[0][0] ^= 0x80
 	mut.Entries[0] = e0
-	if VerifyBatchQuote(pub, &mut) == nil {
+	if verifyBatch(pub, &mut) == nil {
 		t.Fatal("bit-flipped proof accepted")
 	}
 
@@ -87,7 +88,7 @@ func TestQuoteBatchTamperMatrix(t *testing.T) {
 	wrong.Proof = q.Entries[2].Proof
 	wrong.Index = q.Entries[2].Index
 	mut.Entries[1] = wrong
-	if VerifyBatchQuote(pub, &mut) == nil {
+	if verifyBatch(pub, &mut) == nil {
 		t.Fatal("wrong-job proof accepted")
 	}
 
@@ -97,31 +98,31 @@ func TestQuoteBatchTamperMatrix(t *testing.T) {
 	forged := mut.Entries[3]
 	forged.Composite[0] ^= 0xff
 	mut.Entries[3] = forged
-	if VerifyBatchQuote(pub, &mut) == nil {
+	if verifyBatch(pub, &mut) == nil {
 		t.Fatal("forged composite accepted")
 	}
 
 	// Tampered root: the signature check must fail.
 	mut = *q
 	mut.Root[0] ^= 0x01
-	if VerifyBatchQuote(pub, &mut) == nil {
+	if verifyBatch(pub, &mut) == nil {
 		t.Fatal("forged root accepted")
 	}
 
 	// Replayed batch nonce mismatch: different nonce, same signature.
 	mut = *q
 	mut.Nonce = []byte("other-nonce")
-	if VerifyBatchQuote(pub, &mut) == nil {
+	if verifyBatch(pub, &mut) == nil {
 		t.Fatal("nonce-substituted batch accepted")
 	}
 }
 
 func TestQuoteBatchEmptyAndDuplicates(t *testing.T) {
 	chip := sePCRTPM(t, 4)
-	if _, err := chip.QuoteSePCRBatch(nil, []byte("bn"), 0); !errors.Is(err, ErrEmptyBatch) {
+	if _, err := chip.QuoteSePCRBatch(nil, []byte("bn"), 0); !errors.Is(err, evidence.ErrEmptyBatch) {
 		t.Fatalf("empty batch: err = %v, want ErrEmptyBatch", err)
 	}
-	if err := VerifyBatchQuote(chip.AIKPublic(), &BatchQuote{}); !errors.Is(err, ErrEmptyBatch) {
+	if err := verifyBatch(chip.AIKPublic(), &BatchQuote{}); !errors.Is(err, evidence.ErrEmptyBatch) {
 		t.Fatalf("verify empty batch: err = %v, want ErrEmptyBatch", err)
 	}
 	reqs := quoteReady(t, chip, 1)
@@ -141,7 +142,7 @@ func TestQuoteBatchEmptyAndDuplicates(t *testing.T) {
 // job needs no quote command of its own.
 func TestQuoteBatchOfOneEquivalence(t *testing.T) {
 	chip := sePCRTPM(t, 4)
-	h, err := chip.AllocateSePCR(0, Measure([]byte("same-pal")))
+	h, err := chip.AllocateSePCR(0, evidence.Measure([]byte("same-pal")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +165,10 @@ func TestQuoteBatchOfOneEquivalence(t *testing.T) {
 	if len(e.Proof) != 0 {
 		t.Fatalf("single-leaf proof must be empty, got %d nodes", len(e.Proof))
 	}
-	if batch.Root != BatchLeaf(e.Handle, e.Composite, e.Nonce) {
+	if batch.Root != evidence.BatchLeaf(e.Handle, e.Composite, e.Nonce) {
 		t.Fatal("single-leaf root must equal the leaf")
 	}
-	if err := VerifyBatchQuote(chip.AIKPublic(), batch); err != nil {
+	if err := verifyBatch(chip.AIKPublic(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := chip.SePCRStateOf(h); st != SePCRFree {
@@ -208,7 +209,7 @@ func TestQuoteBatchFailureLeavesRegistersAttestable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
-	if err := VerifyBatchQuote(chip.AIKPublic(), q); err != nil {
+	if err := verifyBatch(chip.AIKPublic(), q); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -220,8 +221,7 @@ func TestQuoteSessionMAC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The grant is signed by the AIK over the session binding.
-	if err := memoVerifyPKCS1v15(chip.AIKPublic(),
-		SessionGrantDigest(sess.ID, sess.Key, sess.Nonce), sess.Sig); err != nil {
+	if err := evidence.VerifySessionGrant(chip.AIKPublic(), sess); err != nil {
 		t.Fatalf("session grant signature invalid: %v", err)
 	}
 
@@ -232,13 +232,13 @@ func TestQuoteSessionMAC(t *testing.T) {
 	if q.SessionID != sess.ID || len(q.SessionMAC) == 0 {
 		t.Fatal("sessionful batch missing session binding")
 	}
-	want := SessionMAC(sess.Key, BatchSignedDigest(q.Root, q.Count, q.Nonce))
+	want := evidence.SessionMAC(sess.Key, evidence.BatchSignedDigest(q.Root, q.Count, q.Nonce))
 	if !bytes.Equal(q.SessionMAC, want) {
 		t.Fatal("session MAC mismatch")
 	}
 	var otherKey Digest
 	otherKey[3] = 0xee
-	if bytes.Equal(q.SessionMAC, SessionMAC(otherKey, BatchSignedDigest(q.Root, q.Count, q.Nonce))) {
+	if bytes.Equal(q.SessionMAC, evidence.SessionMAC(otherKey, evidence.BatchSignedDigest(q.Root, q.Count, q.Nonce))) {
 		t.Fatal("MAC did not depend on the key")
 	}
 

@@ -1,12 +1,29 @@
 package tpm
 
 import (
+	"crypto/rsa"
+	"fmt"
 	"testing"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/sim"
 )
+
+// verifyBatch checks a batch quote the way a relying party does: its
+// shape and one signature, then every entry's inclusion proof.
+func verifyBatch(aik *rsa.PublicKey, q *BatchQuote) error {
+	if err := evidence.VerifyBatchSignature(aik, q); err != nil {
+		return err
+	}
+	for i := range q.Entries {
+		if !evidence.VerifyBatchInclusion(q.Root, q.Count, &q.Entries[i]) {
+			return fmt.Errorf("batch entry %d: inclusion proof invalid", i)
+		}
+	}
+	return nil
+}
 
 // newClockProfile returns a fresh clock and a synthetic profile with
 // distinct, jitter-free latencies for charge-accounting tests.

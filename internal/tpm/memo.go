@@ -10,6 +10,8 @@ import (
 	"io"
 	"sync"
 	"unsafe"
+
+	"minimaltcb/internal/evidence"
 )
 
 // This file implements the measurement and crypto memoization layer.
@@ -60,7 +62,7 @@ var measureMemo struct {
 // must use Measure.
 func MeasureMemoized(b []byte) (d Digest, hit bool) {
 	if len(b) == 0 {
-		return Measure(b), false
+		return evidence.Measure(b), false
 	}
 	k := measureKey{ptr: unsafe.SliceData(b), n: len(b)}
 	measureMemo.Lock()
@@ -69,7 +71,7 @@ func MeasureMemoized(b []byte) (d Digest, hit bool) {
 	if hit {
 		return d, true
 	}
-	d = Measure(b)
+	d = evidence.Measure(b)
 	measureMemo.Lock()
 	if measureMemo.m == nil || len(measureMemo.m) >= memoLimit {
 		measureMemo.m = make(map[measureKey]Digest)
@@ -88,9 +90,9 @@ func MeasureMemoized(b []byte) (d Digest, hit bool) {
 // The key field used to be uintptr(unsafe.Pointer(key)). That was unsound
 // once AIKs became re-mintable (PR9's per-epoch re-mint): after a key is
 // garbage-collected its address can be recycled for a *different* key, and
-// the stale cache entry would alias the new key's operations — a signature
-// minted under key A verifying "successfully" under unrelated key B. A
-// fingerprint of the public material can't be recycled.
+// the stale cache entry would alias the new key's operations — key B
+// returning a signature that key A minted. A fingerprint of the public
+// material can't be recycled.
 type cryptoKey struct {
 	op  byte
 	key Digest
@@ -110,7 +112,6 @@ const (
 	opOAEPDecrypt = iota
 	opOAEPEncrypt
 	opSign
-	opVerify
 )
 
 var cryptoMemo struct {
@@ -222,20 +223,6 @@ func memoSignPKCS1v15(priv *rsa.PrivateKey, digest Digest) ([]byte, error) {
 	}
 	cryptoStore(k, sig)
 	return sig, nil
-}
-
-// memoVerifyPKCS1v15 is rsa.VerifyPKCS1v15 with success caching (failures
-// are not cached; they carry the error detail and are off the hot path).
-func memoVerifyPKCS1v15(pub *rsa.PublicKey, digest Digest, sig []byte) error {
-	k := cryptoKey{op: opVerify, key: keyFingerprint(pub), sum: sumParts(digest[:], sig)}
-	if _, ok := cryptoLookup(k); ok {
-		return nil
-	}
-	if err := rsa.VerifyPKCS1v15(pub, crypto.SHA1, digest[:], sig); err != nil {
-		return err
-	}
-	cryptoStore(k, nil)
-	return nil
 }
 
 // ---- AEAD and scratch pooling ----------------------------------------

@@ -1,15 +1,17 @@
 package tpm
 
 import (
+	"crypto"
 	"crypto/rsa"
 	"testing"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/sim"
 )
 
 func TestMeasureMemoizedMatchesMeasure(t *testing.T) {
 	img := []byte("some PAL image bytes")
-	want := Measure(img)
+	want := evidence.Measure(img)
 
 	d, hit := MeasureMemoized(img)
 	if d != want {
@@ -44,7 +46,7 @@ func TestMeasureMemoizedEmptySlice(t *testing.T) {
 	if hit {
 		t.Fatal("empty slice reported a hit")
 	}
-	if d != Measure(nil) {
+	if d != evidence.Measure(nil) {
 		t.Fatal("empty-slice digest wrong")
 	}
 }
@@ -70,8 +72,8 @@ func TestMeasureMemoizedSteadyStateAllocs(t *testing.T) {
 // TestCryptoMemoNoCrossKeyAliasing is the regression test for the
 // pointer-keyed cryptoKey bug: with per-epoch AIK re-minting, a freed key's
 // address could be recycled for a different key and alias its cached
-// signature/verify results. The cache must key on public material, so two
-// distinct AIKs can never share entries — even with the cache fully warm.
+// signatures. The cache must key on public material, so two distinct AIKs
+// can never share entries — even with the cache fully warm.
 func TestCryptoMemoNoCrossKeyAliasing(t *testing.T) {
 	mint := func(seed uint64) *rsa.PrivateKey {
 		k, err := rsa.GenerateKey(sim.NewRNG(seed), 1024)
@@ -85,16 +87,16 @@ func TestCryptoMemoNoCrossKeyAliasing(t *testing.T) {
 		t.Fatal("distinct keys produced the same fingerprint")
 	}
 
-	digest := Measure([]byte("cross-key aliasing probe"))
+	digest := evidence.Measure([]byte("cross-key aliasing probe"))
 	sig1, err := memoSignPKCS1v15(k1, digest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm every cache entry the old pointer key could have aliased: k1's
-	// verify success and k2's own sign result over the same digest.
-	if err := memoVerifyPKCS1v15(&k1.PublicKey, digest, sig1); err != nil {
+	if err := rsa.VerifyPKCS1v15(&k1.PublicKey, crypto.SHA1, digest[:], sig1); err != nil {
 		t.Fatalf("genuine verify failed: %v", err)
 	}
+	// With k1's entry warm, k2 signing the same digest must get its own
+	// signature, not k1's cached one.
 	sig2, err := memoSignPKCS1v15(k2, digest)
 	if err != nil {
 		t.Fatal(err)
@@ -102,11 +104,11 @@ func TestCryptoMemoNoCrossKeyAliasing(t *testing.T) {
 	if string(sig1) == string(sig2) {
 		t.Fatal("two keys signed the same digest identically")
 	}
-	// The poison case: k1's signature presented under k2's public key must
-	// fail even though a success for (digest, sig1) is cached — under the
-	// old scheme a recycled address made exactly this return nil.
-	if err := memoVerifyPKCS1v15(&k2.PublicKey, digest, sig1); err == nil {
-		t.Fatal("cross-key verification hit another key's cached success")
+	if err := rsa.VerifyPKCS1v15(&k2.PublicKey, crypto.SHA1, digest[:], sig2); err != nil {
+		t.Fatalf("k2's signature does not verify under k2: %v", err)
+	}
+	if err := rsa.VerifyPKCS1v15(&k2.PublicKey, crypto.SHA1, digest[:], sig1); err == nil {
+		t.Fatal("k1's signature verified under k2")
 	}
 
 	// And fingerprint identity is about public material, not object

@@ -2,6 +2,8 @@ package tpm
 
 import (
 	"testing"
+
+	"minimaltcb/internal/evidence"
 )
 
 // Tests for HashDataPremeasured, the TPM_HASH_DATA variant the CPU's
@@ -36,7 +38,7 @@ func TestHashDataPremeasuredMatchesPlainPath(t *testing.T) {
 	})
 	clock2, _ := newClockProfile()
 	pre := hashSequence(t, newProfiledTPM(t, clock2, p), func(chip *TPM) {
-		if err := chip.HashDataPremeasured(data, Measure(data)); err != nil {
+		if err := chip.HashDataPremeasured(data, evidence.Measure(data)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -53,13 +55,13 @@ func TestHashDataPremeasuredMatchesPlainPath(t *testing.T) {
 func TestHashDataPremeasuredWrongDigestOnlySequence(t *testing.T) {
 	clock, p := newClockProfile()
 	data := []byte("image bytes")
-	wrong := Measure([]byte("different bytes"))
+	wrong := evidence.Measure([]byte("different bytes"))
 	pcr := hashSequence(t, newProfiledTPM(t, clock, p), func(chip *TPM) {
 		if err := chip.HashDataPremeasured(data, wrong); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if pcr != chain(Digest{}, wrong) {
+	if pcr != evidence.ExtendDigest(Digest{}, wrong) {
 		t.Fatal("only-sequence premeasured digest was not used verbatim")
 	}
 }
@@ -71,7 +73,7 @@ func TestHashDataPremeasuredMixedFallsBack(t *testing.T) {
 	clock, p := newClockProfile()
 	pre, post := []byte("header"), []byte("trailer")
 	img := []byte("the image")
-	wrong := Measure([]byte("lies"))
+	wrong := evidence.Measure([]byte("lies"))
 
 	want := hashSequence(t, newProfiledTPM(t, clock, p), func(chip *TPM) {
 		for _, b := range [][]byte{pre, img, post} {
@@ -130,7 +132,7 @@ func TestHashDataPremeasuredResetBetweenSequences(t *testing.T) {
 	chip := newProfiledTPM(t, clock, p)
 	img := []byte("first image")
 	_ = hashSequence(t, chip, func(chip *TPM) {
-		if err := chip.HashDataPremeasured(img, Measure(img)); err != nil {
+		if err := chip.HashDataPremeasured(img, evidence.Measure(img)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -140,7 +142,7 @@ func TestHashDataPremeasuredResetBetweenSequences(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got != chain(Digest{}, Measure(other)) {
+	if got != evidence.ExtendDigest(Digest{}, evidence.Measure(other)) {
 		t.Fatal("stale premeasured digest affected the following sequence")
 	}
 }

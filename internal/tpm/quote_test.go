@@ -2,23 +2,25 @@ package tpm
 
 import (
 	"testing"
+
+	"minimaltcb/internal/evidence"
 )
 
 func TestQuoteVerifies(t *testing.T) {
 	chip, _, _ := testTPM(t, Config{})
-	chip.Extend(FirstDynamicPCR, Measure([]byte("pal code")))
+	chip.Extend(evidence.FirstDynamicPCR, evidence.Measure([]byte("pal code")))
 	nonce := []byte("verifier challenge 123")
-	q, err := chip.QuoteCommand(Selection{FirstDynamicPCR}, nonce)
+	q, err := chip.QuoteCommand(Selection{evidence.FirstDynamicPCR}, nonce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyQuote(chip.AIKPublic(), q); err != nil {
+	if err := evidence.VerifyQuote(chip.AIKPublic(), q); err != nil {
 		t.Fatalf("genuine quote rejected: %v", err)
 	}
 	if q.SePCRHandle != -1 {
 		t.Fatalf("PCR quote has sePCR handle %d", q.SePCRHandle)
 	}
-	composite, _ := chip.Composite(Selection{FirstDynamicPCR})
+	composite, _ := chip.Composite(Selection{evidence.FirstDynamicPCR})
 	if q.Composite != composite {
 		t.Fatal("quote composite differs from live composite")
 	}
@@ -26,27 +28,27 @@ func TestQuoteVerifies(t *testing.T) {
 
 func TestQuoteRejectsTampering(t *testing.T) {
 	chip, _, _ := testTPM(t, Config{})
-	q, err := chip.QuoteCommand(Selection{0, FirstDynamicPCR}, []byte("n"))
+	q, err := chip.QuoteCommand(Selection{0, evidence.FirstDynamicPCR}, []byte("n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tampered composite.
 	bad := *q
 	bad.Composite[0] ^= 1
-	if err := VerifyQuote(chip.AIKPublic(), &bad); err == nil {
+	if err := evidence.VerifyQuote(chip.AIKPublic(), &bad); err == nil {
 		t.Fatal("quote with modified composite verified")
 	}
 	// Tampered nonce (replay with a different challenge).
 	bad = *q
 	bad.Nonce = []byte("other nonce")
-	if err := VerifyQuote(chip.AIKPublic(), &bad); err == nil {
+	if err := evidence.VerifyQuote(chip.AIKPublic(), &bad); err == nil {
 		t.Fatal("quote with modified nonce verified")
 	}
 	// Tampered signature.
 	bad = *q
 	bad.Signature = append([]byte(nil), q.Signature...)
 	bad.Signature[0] ^= 1
-	if err := VerifyQuote(chip.AIKPublic(), &bad); err == nil {
+	if err := evidence.VerifyQuote(chip.AIKPublic(), &bad); err == nil {
 		t.Fatal("quote with modified signature verified")
 	}
 }
@@ -58,21 +60,21 @@ func TestQuoteWrongAIKFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyQuote(b.AIKPublic(), q); err == nil {
+	if err := evidence.VerifyQuote(b.AIKPublic(), q); err == nil {
 		t.Fatal("quote verified under a different TPM's AIK")
 	}
 }
 
 func TestQuoteBadSelection(t *testing.T) {
 	chip, _, _ := testTPM(t, Config{})
-	if _, err := chip.QuoteCommand(Selection{NumPCRs + 1}, nil); err == nil {
+	if _, err := chip.QuoteCommand(Selection{evidence.NumPCRs + 1}, nil); err == nil {
 		t.Fatal("quote over invalid PCR accepted")
 	}
 }
 
 func TestVerifyNilQuote(t *testing.T) {
 	chip, _, _ := testTPM(t, Config{})
-	if err := VerifyQuote(chip.AIKPublic(), nil); err == nil {
+	if err := evidence.VerifyQuote(chip.AIKPublic(), nil); err == nil {
 		t.Fatal("nil quote verified")
 	}
 }
@@ -80,7 +82,7 @@ func TestVerifyNilQuote(t *testing.T) {
 func TestQuoteDistinguishesRebootFromDynamicReset(t *testing.T) {
 	chip, _, bus := testTPM(t, Config{})
 	// After boot, PCR17 is -1: quote proves no late launch happened.
-	qBoot, err := chip.QuoteCommand(Selection{FirstDynamicPCR}, []byte("n"))
+	qBoot, err := chip.QuoteCommand(Selection{evidence.FirstDynamicPCR}, []byte("n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestQuoteDistinguishesRebootFromDynamicReset(t *testing.T) {
 	chip.HashStart()
 	chip.HashData([]byte("pal"))
 	chip.HashEnd()
-	qLaunch, err := chip.QuoteCommand(Selection{FirstDynamicPCR}, []byte("n"))
+	qLaunch, err := chip.QuoteCommand(Selection{evidence.FirstDynamicPCR}, []byte("n"))
 	if err != nil {
 		t.Fatal(err)
 	}

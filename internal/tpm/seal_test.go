@@ -5,13 +5,15 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"minimaltcb/internal/evidence"
 )
 
 func TestSealUnsealRoundTrip(t *testing.T) {
 	chip, _, _ := testTPM(t, Config{})
-	chip.Extend(FirstDynamicPCR, Measure([]byte("pal")))
+	chip.Extend(evidence.FirstDynamicPCR, evidence.Measure([]byte("pal")))
 	secret := []byte("the CA's private signing key")
-	blob, err := chip.Seal(Selection{FirstDynamicPCR}, secret)
+	blob, err := chip.Seal(Selection{evidence.FirstDynamicPCR}, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +31,13 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 
 func TestUnsealFailsAfterPCRChange(t *testing.T) {
 	chip, _, _ := testTPM(t, Config{})
-	chip.Extend(FirstDynamicPCR, Measure([]byte("pal")))
-	blob, err := chip.Seal(Selection{FirstDynamicPCR}, []byte("secret"))
+	chip.Extend(evidence.FirstDynamicPCR, evidence.Measure([]byte("pal")))
+	blob, err := chip.Seal(Selection{evidence.FirstDynamicPCR}, []byte("secret"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Different software extends the PCR: policy must no longer match.
-	chip.Extend(FirstDynamicPCR, Measure([]byte("malware")))
+	chip.Extend(evidence.FirstDynamicPCR, evidence.Measure([]byte("malware")))
 	if _, err := chip.Unseal(blob); !errors.Is(err, ErrPCRMismatch) {
 		t.Fatalf("unseal under wrong PCRs: %v", err)
 	}
@@ -48,7 +50,7 @@ func TestUnsealFailsForDifferentPAL(t *testing.T) {
 	chip.HashStart()
 	chip.HashData([]byte("PAL A code"))
 	chip.HashEnd()
-	blob, err := chip.Seal(Selection{FirstDynamicPCR}, []byte("A's secret"))
+	blob, err := chip.Seal(Selection{evidence.FirstDynamicPCR}, []byte("A's secret"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +178,7 @@ func TestSealRoundTripProperty(t *testing.T) {
 	f := func(data []byte, rawSel []uint8) bool {
 		sel := make(Selection, 0, len(rawSel))
 		for _, s := range rawSel {
-			sel = append(sel, int(s)%NumPCRs)
+			sel = append(sel, int(s)%evidence.NumPCRs)
 		}
 		blob, err := chip.Seal(sel, data)
 		if err != nil {

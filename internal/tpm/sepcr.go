@@ -3,6 +3,7 @@ package tpm
 import (
 	"fmt"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/obs"
 )
 
@@ -50,11 +51,6 @@ type sePCR struct {
 	value Digest
 	owner int // CPU-enforced binding token while Exclusive
 }
-
-// SKillMarker is the well-known constant extended into a sePCR when SKILL
-// terminates a misbehaving PAL (§5.5), so a verifier can distinguish a
-// killed PAL's register from a cleanly exited one.
-var SKillMarker = Measure([]byte("TPM_SEPCR_SKILL"))
 
 // lifeOpen starts the life-cycle span for sePCR h entering the named
 // state. The span stays open across TPM commands — a register can sit in
@@ -122,7 +118,7 @@ func (t *TPM) AllocateSePCR(owner int, palMeasurement Digest) (int, error) {
 		sp := t.cmdSpan("TPM_SEPCR_Alloc").AttrInt("handle", i)
 		t.sePCRs[i] = sePCR{
 			state: SePCRExclusive,
-			value: chain(Digest{}, palMeasurement),
+			value: evidence.ExtendDigest(Digest{}, palMeasurement),
 			owner: owner,
 		}
 		t.charge(t.profile.ExtendLatency, 0)
@@ -173,7 +169,7 @@ func (t *TPM) SePCRExtend(handle, owner int, measurement Digest) (Digest, error)
 	}
 	sp := t.cmdSpan("TPM_SEPCR_Extend").AttrInt("handle", handle)
 	p := &t.sePCRs[handle]
-	p.value = chain(p.value, measurement)
+	p.value = evidence.ExtendDigest(p.value, measurement)
 	t.busCommand(34, 30)
 	t.charge(t.profile.ExtendLatency, t.profile.Jitter)
 	t.endCmd(sp, nil)
@@ -270,7 +266,7 @@ func (t *TPM) KillSePCR(handle int) error {
 		return fmt.Errorf("%w: sePCR %d is %v, SKILL needs Exclusive", ErrSePCRState, handle, p.state)
 	}
 	sp := t.cmdSpan("TPM_SEPCR_Kill").AttrInt("handle", handle)
-	p.value = chain(p.value, SKillMarker)
+	p.value = evidence.ExtendDigest(p.value, evidence.SKillMarker)
 	p.state = SePCRFree
 	p.owner = -1
 	t.charge(t.profile.ExtendLatency, 0)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"minimaltcb/internal/evidence"
 )
 
 func sePCRTPM(t *testing.T, n int) *TPM {
@@ -14,7 +16,7 @@ func sePCRTPM(t *testing.T, n int) *TPM {
 
 func TestAllocateSePCR(t *testing.T) {
 	chip := sePCRTPM(t, 2)
-	meas := Measure([]byte("pal A"))
+	meas := evidence.Measure([]byte("pal A"))
 	h, err := chip.AllocateSePCR(0, meas)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +26,7 @@ func TestAllocateSePCR(t *testing.T) {
 		t.Fatalf("state = %v, want Exclusive", st)
 	}
 	v, _ := chip.SePCRValue(h)
-	if v != chain(Digest{}, meas) {
+	if v != evidence.ExtendDigest(Digest{}, meas) {
 		t.Fatal("sePCR not reset+extended with PAL measurement")
 	}
 }
@@ -55,13 +57,13 @@ func TestStockTPMHasNoSePCRs(t *testing.T) {
 
 func TestSePCRExclusiveAccessControl(t *testing.T) {
 	chip := sePCRTPM(t, 1)
-	h, _ := chip.AllocateSePCR(3, Measure([]byte("pal")))
+	h, _ := chip.AllocateSePCR(3, evidence.Measure([]byte("pal")))
 	// The bound CPU can extend.
-	if _, err := chip.SePCRExtend(h, 3, Measure([]byte("input"))); err != nil {
+	if _, err := chip.SePCRExtend(h, 3, evidence.Measure([]byte("input"))); err != nil {
 		t.Fatal(err)
 	}
 	// Another CPU (or the untrusted OS) cannot.
-	if _, err := chip.SePCRExtend(h, 0, Measure([]byte("evil"))); !errors.Is(err, ErrSePCRState) {
+	if _, err := chip.SePCRExtend(h, 0, evidence.Measure([]byte("evil"))); !errors.Is(err, ErrSePCRState) {
 		t.Fatalf("foreign extend: %v", err)
 	}
 	if _, err := chip.SealSePCR(h, 0, []byte("x")); !errors.Is(err, ErrSePCRState) {
@@ -76,7 +78,7 @@ func TestSePCRSealUnsealAcrossHandles(t *testing.T) {
 	// §5.4.4 Challenge 4: a PAL sealing under one handle must unseal
 	// under a different handle on its next execution.
 	chip := sePCRTPM(t, 2)
-	palMeas := Measure([]byte("factoring pal"))
+	palMeas := evidence.Measure([]byte("factoring pal"))
 
 	// First execution: gets register 0, seals state, exits via quote path.
 	h1, _ := chip.AllocateSePCR(0, palMeas)
@@ -90,7 +92,7 @@ func TestSePCRSealUnsealAcrossHandles(t *testing.T) {
 	}
 
 	// An unrelated PAL grabs register 0.
-	if _, err := chip.AllocateSePCR(1, Measure([]byte("other pal"))); err != nil {
+	if _, err := chip.AllocateSePCR(1, evidence.Measure([]byte("other pal"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,12 +112,12 @@ func TestSePCRSealUnsealAcrossHandles(t *testing.T) {
 
 func TestSePCRUnsealWrongPALFails(t *testing.T) {
 	chip := sePCRTPM(t, 2)
-	hA, _ := chip.AllocateSePCR(0, Measure([]byte("pal A")))
+	hA, _ := chip.AllocateSePCR(0, evidence.Measure([]byte("pal A")))
 	blob, err := chip.SealSePCR(hA, 0, []byte("A's secret"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hB, _ := chip.AllocateSePCR(1, Measure([]byte("pal B")))
+	hB, _ := chip.AllocateSePCR(1, evidence.Measure([]byte("pal B")))
 	if _, err := chip.UnsealSePCR(hB, 1, blob); !errors.Is(err, ErrPCRMismatch) {
 		t.Fatalf("PAL B unsealed A's sePCR blob: %v", err)
 	}
@@ -123,7 +125,7 @@ func TestSePCRUnsealWrongPALFails(t *testing.T) {
 
 func TestSePCRModeSeparation(t *testing.T) {
 	chip := sePCRTPM(t, 1)
-	h, _ := chip.AllocateSePCR(0, Measure([]byte("pal")))
+	h, _ := chip.AllocateSePCR(0, evidence.Measure([]byte("pal")))
 	seBlob, _ := chip.SealSePCR(h, 0, []byte("se"))
 	pcrBlob, _ := chip.Seal(Selection{0}, []byte("pcr"))
 	if _, err := chip.Unseal(seBlob); !errors.Is(err, ErrBadBlob) {
@@ -136,7 +138,7 @@ func TestSePCRModeSeparation(t *testing.T) {
 
 func TestSePCRLifecycleStates(t *testing.T) {
 	chip := sePCRTPM(t, 1)
-	h, _ := chip.AllocateSePCR(0, Measure([]byte("pal")))
+	h, _ := chip.AllocateSePCR(0, evidence.Measure([]byte("pal")))
 
 	// Cannot quote while Exclusive (§5.4.3).
 	if _, err := quoteOne(chip, h, []byte("n")); !errors.Is(err, ErrSePCRState) {
@@ -163,7 +165,7 @@ func TestSePCRLifecycleStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBatchQuote(chip.AIKPublic(), q); err != nil {
+	if err := verifyBatch(chip.AIKPublic(), q); err != nil {
 		t.Fatalf("sePCR quote rejected: %v", err)
 	}
 	if q.Entries[0].Handle != h {
@@ -190,7 +192,7 @@ func TestSePCRFreeWithoutQuote(t *testing.T) {
 
 func TestSKillExtendsMarkerAndFrees(t *testing.T) {
 	chip := sePCRTPM(t, 1)
-	palMeas := Measure([]byte("wedged pal"))
+	palMeas := evidence.Measure([]byte("wedged pal"))
 	h, _ := chip.AllocateSePCR(0, palMeas)
 	before, _ := chip.SePCRValue(h)
 	if err := chip.KillSePCR(h); err != nil {
@@ -203,7 +205,7 @@ func TestSKillExtendsMarkerAndFrees(t *testing.T) {
 	// A relaunch reuses the register; the kill marker must have been
 	// folded in before the free so no quoteable trace of a clean exit
 	// exists. (Value is cleared on next allocate.)
-	want := chain(before, SKillMarker)
+	want := evidence.ExtendDigest(before, evidence.SKillMarker)
 	_ = want // value checked via state machine: register reset on reuse
 	h2, err := chip.AllocateSePCR(1, palMeas)
 	if err != nil || h2 != h {
@@ -225,7 +227,7 @@ func TestSKillRequiresExclusive(t *testing.T) {
 
 func TestRebindSePCR(t *testing.T) {
 	chip := sePCRTPM(t, 1)
-	h, _ := chip.AllocateSePCR(0, Measure([]byte("pal")))
+	h, _ := chip.AllocateSePCR(0, evidence.Measure([]byte("pal")))
 	// Resume on CPU 2: rebind, then CPU 2 may extend and CPU 0 may not.
 	if err := chip.RebindSePCR(h, 0, 2); err != nil {
 		t.Fatal(err)
@@ -265,7 +267,7 @@ func TestSePCRBadHandles(t *testing.T) {
 
 func TestBootClearsSePCRs(t *testing.T) {
 	chip := sePCRTPM(t, 2)
-	chip.AllocateSePCR(0, Measure([]byte("pal")))
+	chip.AllocateSePCR(0, evidence.Measure([]byte("pal")))
 	chip.Boot()
 	for h := 0; h < 2; h++ {
 		st, _ := chip.SePCRStateOf(h)

@@ -2,6 +2,8 @@ package tpm
 
 import (
 	"fmt"
+
+	"minimaltcb/internal/evidence"
 )
 
 // This file implements the sePCR *sets* extension (§6): instead of a
@@ -33,7 +35,7 @@ func (t *TPM) AllocateSePCRSet(owner int, palMeasurement Digest, k int) ([]int, 
 	for j, h := range handles {
 		value := Digest{}
 		if j == 0 {
-			value = chain(Digest{}, palMeasurement)
+			value = evidence.ExtendDigest(Digest{}, palMeasurement)
 		}
 		t.sePCRs[h] = sePCR{state: SePCRExclusive, value: value, owner: owner}
 	}
@@ -78,8 +80,8 @@ func (t *TPM) QuoteSePCRSet(handles []int, nonce []byte) (*Quote, error) {
 	}
 	sel := make(Selection, len(handles))
 	copy(sel, handles)
-	composite := CompositeDigest(sel, vals)
-	sig, err := memoSignPKCS1v15(t.aik, quoteDigest(composite, nonce))
+	composite := evidence.CompositeDigest(sel, vals)
+	sig, err := memoSignPKCS1v15(t.aik, evidence.QuoteSignedDigest(composite, nonce))
 	if err != nil {
 		return nil, fmt.Errorf("tpm: sePCR set quote signature: %w", err)
 	}

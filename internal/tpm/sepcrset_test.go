@@ -3,11 +3,13 @@ package tpm
 import (
 	"errors"
 	"testing"
+
+	"minimaltcb/internal/evidence"
 )
 
 func TestAllocateSePCRSet(t *testing.T) {
 	chip := sePCRTPM(t, 4)
-	meas := Measure([]byte("multicore pal"))
+	meas := evidence.Measure([]byte("multicore pal"))
 	handles, err := chip.AllocateSePCRSet(0, meas, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -17,7 +19,7 @@ func TestAllocateSePCRSet(t *testing.T) {
 	}
 	// First register carries the PAL measurement; the rest start zeroed.
 	v0, _ := chip.SePCRValue(handles[0])
-	if v0 != chain(Digest{}, meas) {
+	if v0 != evidence.ExtendDigest(Digest{}, meas) {
 		t.Fatal("index register missing PAL measurement")
 	}
 	for _, h := range handles[1:] {
@@ -48,10 +50,10 @@ func TestAllocateSePCRSetShortfallRollsBack(t *testing.T) {
 
 func TestSePCRSetIndividualExtend(t *testing.T) {
 	chip := sePCRTPM(t, 3)
-	handles, _ := chip.AllocateSePCRSet(1, Measure([]byte("pal")), 2)
+	handles, _ := chip.AllocateSePCRSet(1, evidence.Measure([]byte("pal")), 2)
 	// Individual members extend independently (§6: extend indexes
 	// individual registers).
-	m := Measure([]byte("worker output"))
+	m := evidence.Measure([]byte("worker output"))
 	if _, err := chip.SePCRExtend(handles[1], 1, m); err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +97,9 @@ func TestReleaseSePCRSetAllOrNothing(t *testing.T) {
 
 func TestQuoteSePCRSetSubset(t *testing.T) {
 	chip := sePCRTPM(t, 4)
-	meas := Measure([]byte("pal"))
+	meas := evidence.Measure([]byte("pal"))
 	handles, _ := chip.AllocateSePCRSet(0, meas, 3)
-	chip.SePCRExtend(handles[1], 0, Measure([]byte("input")))
+	chip.SePCRExtend(handles[1], 0, evidence.Measure([]byte("input")))
 	if err := chip.ReleaseSePCRSet(handles, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +110,14 @@ func TestQuoteSePCRSetSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyQuote(chip.AIKPublic(), q); err != nil {
+	if err := evidence.VerifyQuote(chip.AIKPublic(), q); err != nil {
 		t.Fatalf("set quote rejected: %v", err)
 	}
 	// The composite must be reconstructible by a verifier from the
 	// handles and the replayed values.
-	v0 := chain(Digest{}, meas)
-	v1 := chain(Digest{}, Measure([]byte("input")))
-	want := CompositeDigest(Selection{subset[0], subset[1]}, []Digest{v0, v1})
+	v0 := evidence.ExtendDigest(Digest{}, meas)
+	v1 := evidence.ExtendDigest(Digest{}, evidence.Measure([]byte("input")))
+	want := evidence.CompositeDigest(Selection{subset[0], subset[1]}, []Digest{v0, v1})
 	if q.Composite != want {
 		t.Fatal("set quote composite not reconstructible")
 	}

@@ -23,26 +23,27 @@ import (
 	"fmt"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/obs"
 	"minimaltcb/internal/sim"
 )
 
-// NumPCRs is the number of platform configuration registers. PCRs 0–16 are
-// static (reset only by reboot); FirstDynamicPCR–23 are dynamic.
-const NumPCRs = 24
-
-// FirstDynamicPCR is the index of the first dynamic (resettable) PCR.
-const FirstDynamicPCR = 17
+// The evidence formats live in internal/evidence, so a verifier can check
+// them without linking the simulator. The chip produces them under their
+// historical names; these are aliases, not copies, so the gob and JSON
+// encodings are unchanged.
+type (
+	Digest       = evidence.Digest
+	Selection    = evidence.Selection
+	Quote        = evidence.Quote
+	BatchEntry   = evidence.BatchEntry
+	BatchQuote   = evidence.BatchQuote
+	QuoteSession = evidence.QuoteSession
+)
 
 // DigestSize is the size of a PCR and of every measurement (SHA-1).
 const DigestSize = sha1.Size
-
-// Digest is a SHA-1 digest, the TPM v1.2 measurement unit.
-type Digest [DigestSize]byte
-
-// Measure hashes arbitrary bytes into a measurement.
-func Measure(b []byte) Digest { return sha1.Sum(b) }
 
 // Errors returned by TPM commands.
 var (
@@ -65,7 +66,7 @@ type TPM struct {
 	seed    uint64
 	rng     *sim.RNG
 
-	pcrs [NumPCRs]Digest
+	pcrs [evidence.NumPCRs]Digest
 
 	srk *rsa.PrivateKey // Storage Root Key (seals)
 	aik *rsa.PrivateKey // Attestation Identity Key (quotes)
@@ -214,7 +215,7 @@ func (t *TPM) Boot() {
 	// a fresh one. (The seed is domain-separated from key generation.)
 	t.rng = sim.NewRNG(t.seed ^ 0x7049_4d53_494d_5450)
 	for i := range t.pcrs {
-		if i >= FirstDynamicPCR {
+		if i >= evidence.FirstDynamicPCR {
 			for j := range t.pcrs[i] {
 				t.pcrs[i][j] = 0xff
 			}
@@ -272,7 +273,7 @@ func (t *TPM) busCommand(req, resp int) {
 // PCRValue returns the current value of a PCR without charging time (a
 // debug/verifier view, not a TPM command).
 func (t *TPM) PCRValue(idx int) (Digest, error) {
-	if idx < 0 || idx >= NumPCRs {
+	if idx < 0 || idx >= evidence.NumPCRs {
 		return Digest{}, fmt.Errorf("%w: %d", ErrBadPCR, idx)
 	}
 	return t.pcrs[idx], nil
@@ -293,28 +294,19 @@ func (t *TPM) PCRRead(idx int) (Digest, error) {
 // Extend executes TPM_Extend: pcr <- SHA1(pcr || measurement), the
 // append-only accumulation of §2.1.1.
 func (t *TPM) Extend(idx int, measurement Digest) (Digest, error) {
-	if idx < 0 || idx >= NumPCRs {
+	if idx < 0 || idx >= evidence.NumPCRs {
 		return Digest{}, fmt.Errorf("%w: %d", ErrBadPCR, idx)
 	}
 	if err := t.inject("TPM_Extend"); err != nil {
 		return Digest{}, err
 	}
 	sp := t.cmdSpan("TPM_Extend").AttrInt("pcr", idx)
-	t.pcrs[idx] = chain(t.pcrs[idx], measurement)
+	t.pcrs[idx] = evidence.ExtendDigest(t.pcrs[idx], measurement)
 	t.extends++
 	t.busCommand(34, 30)
 	t.charge(t.profile.ExtendLatency, t.profile.Jitter)
 	t.endCmd(sp, nil)
 	return t.pcrs[idx], nil
-}
-
-// chain computes the PCR extend function H(old || new). The concatenation
-// fits a stack buffer, so extends stay allocation-free.
-func chain(old, measurement Digest) Digest {
-	var buf [2 * DigestSize]byte
-	copy(buf[:DigestSize], old[:])
-	copy(buf[DigestSize:], measurement[:])
-	return sha1.Sum(buf[:])
 }
 
 // Extends returns how many TPM_Extend commands the chip has served.
@@ -325,10 +317,10 @@ func (t *TPM) Extends() int { return t.extends }
 // latency is part of the calibrated launch constants rather than the
 // vendor's TPM_Extend profile, so no separate time is charged here.
 func (t *TPM) ExtendMicrocode(idx int, measurement Digest) (Digest, error) {
-	if idx < 0 || idx >= NumPCRs {
+	if idx < 0 || idx >= evidence.NumPCRs {
 		return Digest{}, fmt.Errorf("%w: %d", ErrBadPCR, idx)
 	}
-	t.pcrs[idx] = chain(t.pcrs[idx], measurement)
+	t.pcrs[idx] = evidence.ExtendDigest(t.pcrs[idx], measurement)
 	return t.pcrs[idx], nil
 }
 
@@ -343,7 +335,7 @@ func (t *TPM) HashStart() error {
 	if t.hashing {
 		return ErrAlreadyHashed
 	}
-	for i := FirstDynamicPCR; i < NumPCRs; i++ {
+	for i := evidence.FirstDynamicPCR; i < evidence.NumPCRs; i++ {
 		t.pcrs[i] = Digest{}
 	}
 	t.hashing = true
@@ -406,13 +398,13 @@ func (t *TPM) HashEnd() (Digest, error) {
 	if t.hashKnownSet && len(t.hashBuf) == t.hashKnownLen {
 		meas = t.hashKnown
 	} else {
-		meas = Measure(t.hashBuf)
+		meas = evidence.Measure(t.hashBuf)
 	}
 	t.hashKnownSet = false
 	t.releaseHashBuf()
-	t.pcrs[FirstDynamicPCR] = chain(Digest{}, meas)
-	t.auditEvent("late_launch", -1, t.pcrs[FirstDynamicPCR])
-	return t.pcrs[FirstDynamicPCR], nil
+	t.pcrs[evidence.FirstDynamicPCR] = evidence.ExtendDigest(Digest{}, meas)
+	t.auditEvent("late_launch", -1, t.pcrs[evidence.FirstDynamicPCR])
+	return t.pcrs[evidence.FirstDynamicPCR], nil
 }
 
 // GetRandom executes TPM_GetRandom, returning n bytes from the TPM's RNG.
@@ -433,39 +425,18 @@ func (t *TPM) GetRandom(n int) ([]byte, error) {
 	return out, nil
 }
 
-// Selection names a set of PCRs (by index) a seal or quote covers.
-type Selection []int
-
 // Composite computes the TPM_COMPOSITE_HASH over the selected PCRs: a
 // SHA-1 over the encoded selection and the concatenated register values.
 func (t *TPM) Composite(sel Selection) (Digest, error) {
 	vals := make([]Digest, len(sel))
 	for i, idx := range sel {
-		if idx < 0 || idx >= NumPCRs {
+		if idx < 0 || idx >= evidence.NumPCRs {
 			return Digest{}, fmt.Errorf("%w: %d", ErrBadPCR, idx)
 		}
 		vals[i] = t.pcrs[idx]
 	}
-	return CompositeDigest(sel, vals), nil
+	return evidence.CompositeDigest(sel, vals), nil
 }
-
-// CompositeDigest computes the composite hash for a selection and the
-// corresponding register values. Verifiers use it to reconstruct the
-// composite they expect from a replayed event log, without access to the
-// TPM itself.
-func CompositeDigest(sel Selection, vals []Digest) Digest {
-	var buf [512]byte
-	b := buf[:0]
-	for i, idx := range sel {
-		b = append(b, byte(idx))
-		b = append(b, vals[i][:]...)
-	}
-	return sha1.Sum(b)
-}
-
-// ExtendDigest computes the PCR extend function H(old || measurement)
-// outside the TPM — the replay primitive for verifiers.
-func ExtendDigest(old, measurement Digest) Digest { return chain(old, measurement) }
 
 // equalDigest is constant-time-ish comparison; timing attacks are out of
 // scope (§3.2) but bytes.Equal reads naturally here.

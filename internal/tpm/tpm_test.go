@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/sim"
 )
@@ -28,13 +29,13 @@ func testTPM(t *testing.T, cfg Config) (*TPM, *sim.Clock, *lpc.Bus) {
 
 func TestBootPCRValues(t *testing.T) {
 	chip, _, _ := testTPM(t, Config{})
-	for i := 0; i < FirstDynamicPCR; i++ {
+	for i := 0; i < evidence.FirstDynamicPCR; i++ {
 		v, err := chip.PCRValue(i)
 		if err != nil || v != (Digest{}) {
 			t.Fatalf("static PCR %d = %x after boot", i, v)
 		}
 	}
-	for i := FirstDynamicPCR; i < NumPCRs; i++ {
+	for i := evidence.FirstDynamicPCR; i < evidence.NumPCRs; i++ {
 		v, _ := chip.PCRValue(i)
 		for _, b := range v {
 			if b != 0xff {
@@ -46,8 +47,8 @@ func TestBootPCRValues(t *testing.T) {
 
 func TestExtendChaining(t *testing.T) {
 	chip, _, _ := testTPM(t, Config{})
-	m1 := Measure([]byte("event one"))
-	m2 := Measure([]byte("event two"))
+	m1 := evidence.Measure([]byte("event one"))
+	m2 := evidence.Measure([]byte("event two"))
 	v1, err := chip.Extend(0, m1)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestExtendChaining(t *testing.T) {
 func TestExtendOrderMatters(t *testing.T) {
 	a, _, _ := testTPM(t, Config{})
 	b, _, _ := testTPM(t, Config{})
-	m1, m2 := Measure([]byte("x")), Measure([]byte("y"))
+	m1, m2 := evidence.Measure([]byte("x")), evidence.Measure([]byte("y"))
 	a.Extend(3, m1)
 	a.Extend(3, m2)
 	b.Extend(3, m2)
@@ -94,7 +95,7 @@ func TestExtendBadIndex(t *testing.T) {
 	if _, err := chip.Extend(-1, Digest{}); !errors.Is(err, ErrBadPCR) {
 		t.Fatalf("Extend(-1): %v", err)
 	}
-	if _, err := chip.Extend(NumPCRs, Digest{}); !errors.Is(err, ErrBadPCR) {
+	if _, err := chip.Extend(evidence.NumPCRs, Digest{}); !errors.Is(err, ErrBadPCR) {
 		t.Fatalf("Extend(24): %v", err)
 	}
 	if _, err := chip.PCRRead(99); !errors.Is(err, ErrBadPCR) {
@@ -122,7 +123,7 @@ func TestHashSequenceResetsDynamicPCRsAndExtends(t *testing.T) {
 	}
 	// Dynamic PCRs must now read zero (reset), distinguishing a dynamic
 	// reset from the post-boot -1.
-	for i := FirstDynamicPCR; i < NumPCRs; i++ {
+	for i := evidence.FirstDynamicPCR; i < evidence.NumPCRs; i++ {
 		v, _ := chip.PCRValue(i)
 		if v != (Digest{}) {
 			t.Fatalf("dynamic PCR %d = %x after HASH_START", i, v)
@@ -138,11 +139,11 @@ func TestHashSequenceResetsDynamicPCRsAndExtends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := chain(Digest{}, Measure(pal))
+	want := evidence.ExtendDigest(Digest{}, evidence.Measure(pal))
 	if got != want {
 		t.Fatalf("PCR17 = %x, want extend of PAL measurement %x", got, want)
 	}
-	v, _ := chip.PCRValue(FirstDynamicPCR)
+	v, _ := chip.PCRValue(evidence.FirstDynamicPCR)
 	if v != want {
 		t.Fatal("HashEnd return value differs from stored PCR17")
 	}
@@ -172,7 +173,7 @@ func TestBootResetsHashState(t *testing.T) {
 	if _, err := chip.HashEnd(); !errors.Is(err, ErrNotHashing) {
 		t.Fatalf("hash survived reboot: %v", err)
 	}
-	v, _ := chip.PCRValue(FirstDynamicPCR)
+	v, _ := chip.PCRValue(evidence.FirstDynamicPCR)
 	if v[0] != 0xff {
 		t.Fatal("dynamic PCR not -1 after reboot")
 	}
@@ -224,7 +225,7 @@ func TestCompositeDependsOnSelectionAndValues(t *testing.T) {
 	if c1 == c2 {
 		t.Fatal("composite insensitive to selection order")
 	}
-	chip.Extend(0, Measure([]byte("m")))
+	chip.Extend(0, evidence.Measure([]byte("m")))
 	c3, _ := chip.Composite(Selection{0, 1})
 	if c3 == c1 {
 		t.Fatal("composite insensitive to PCR change")
@@ -267,7 +268,7 @@ func TestOperationLatenciesCharged(t *testing.T) {
 
 func TestPCRReadMatchesValue(t *testing.T) {
 	chip, _, _ := testTPM(t, Config{})
-	chip.Extend(5, Measure([]byte("m")))
+	chip.Extend(5, evidence.Measure([]byte("m")))
 	v1, _ := chip.PCRValue(5)
 	v2, err := chip.PCRRead(5)
 	if err != nil || v1 != v2 {
@@ -284,9 +285,9 @@ func TestExtendFoldProperty(t *testing.T) {
 		chip.Boot()
 		want := Digest{}
 		for _, m := range msgs {
-			meas := Measure(m)
+			meas := evidence.Measure(m)
 			chip.Extend(2, meas)
-			want = chain(want, meas)
+			want = evidence.ExtendDigest(want, meas)
 		}
 		got, _ := chip.PCRValue(2)
 		return got == want
