@@ -1,9 +1,11 @@
 # Tier-1 verification lives here: `make check` is what CI and the roadmap
 # run. The race pass covers the packages with real concurrency — the PAL
 # service and the remote-attestation protocol — plus the memory and CPU
-# cores, whose decode/measurement caches are shared across goroutines, the
-# profiler, whose aggregation root is shared across machines, and the chaos
-# injector, whose decision streams are drawn from every worker at once.
+# cores, whose decode caches are shared across goroutines, the TPM, whose
+# measurement cache and crypto memo are process-global and used by every
+# service worker, the profiler, whose aggregation root is shared across
+# machines, and the chaos injector, whose decision streams are drawn from
+# every worker at once.
 
 GO ?= go
 
@@ -30,7 +32,7 @@ test:
 race:
 	$(GO) test -race ./internal/palsvc ./internal/cluster ./internal/attest \
 		./internal/obs ./internal/obs/prof ./internal/cpu ./internal/mem \
-		./internal/chaos ./internal/sksm ./internal/audit \
+		./internal/chaos ./internal/sksm ./internal/audit ./internal/tpm \
 		./cmd/palservd ./cmd/attestd
 
 # tcbbench vets and tests the end-to-end benchmark. It is a module of its

@@ -88,7 +88,7 @@ func run(chipName string, trials int, args []string) error {
 		bus.SetLocality(4)
 		chip.HashStart()
 		chip.HashData([]byte("demo PAL image"))
-		pcr17, _ := chip.HashEnd()
+		_, pcr17, _ := chip.HashEnd()
 		bus.SetLocality(0)
 		fmt.Printf("late launch: PCR17 = %x\n", pcr17)
 

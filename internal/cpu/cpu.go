@@ -10,7 +10,6 @@
 package cpu
 
 import (
-	"crypto/sha1"
 	"errors"
 	"fmt"
 	"time"
@@ -375,9 +374,11 @@ func (c *CPU) StoreByte(addr uint32, v byte) error {
 
 // HashOnCPU computes SHA-1 over data on this core, charging the core's
 // hash rate — the operation Intel's ACMod performs on the PAL (§4.3.2).
+// The digest comes from the content-checked measurement cache; the charge
+// is the same on a hit.
 func (c *CPU) HashOnCPU(data []byte) tpm.Digest {
 	c.Clock().Advance(time.Duration(len(data)) * c.Params.HashPerKB / 1024)
-	return sha1.Sum(data)
+	return tpm.MeasureImage(data)
 }
 
 // VMEnter charges one guest-entry world switch (Table 2's VM Enter row)

@@ -11,18 +11,34 @@ import (
 	"minimaltcb/internal/tpm"
 )
 
-// slbBufPool recycles the scratch buffer the launch microcode streams the
-// SLB image through; an SLB is at most 64 KB, so one buffer per concurrent
+// slbBufPool recycles the scratch buffer launch microcode streams the SLB
+// image through; an SLB is at most 64 KB, so one buffer per concurrent
 // launch suffices instead of a fresh image-sized copy per launch. The
-// buffer never outlives the launch: everything downstream (Measure,
+// buffer never outlives the launch: everything downstream (MeasureImage,
 // TransferHash, HashData, HashOnCPU) consumes it synchronously.
 var slbBufPool = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
 
-// readImage fills a pooled buffer with the region's bytes. The caller must
-// slbBufPool.Put(bufp) when done; the image must not be used afterwards.
-// (Returning the pool pointer rather than a release closure keeps the hot
-// launch path from allocating the closure.)
-func readImage(m *mem.Memory, r mem.Region) (image []byte, bufp *[]byte, err error) {
+// SLBHeader reads the Secure Loader Block header at base with microcode
+// (raw) access and returns the region the header declares and the entry
+// offset. Every late launch — SKINIT, SENTER and sksm's SLAUNCH — takes
+// the SLB's length and entry from here, never from software's word.
+func SLBHeader(m *mem.Memory, base uint32) (region mem.Region, entry uint16, err error) {
+	var hdr [pal.HeaderSize]byte
+	if err := m.ReadInto(hdr[:], base); err != nil {
+		return mem.Region{}, 0, err
+	}
+	length, entry, err := pal.ParseHeader(hdr[:])
+	if err != nil {
+		return mem.Region{}, 0, err
+	}
+	return mem.Region{Base: base, Size: length}, entry, nil
+}
+
+// ReadSLB fills a pooled buffer with the SLB bytes in r, read with
+// microcode access. The caller must ReleaseSLB(bufp) when done; the image
+// must not be used afterwards. (Returning the pool pointer rather than a
+// release closure keeps the hot launch path from allocating the closure.)
+func ReadSLB(m *mem.Memory, r mem.Region) (image []byte, bufp *[]byte, err error) {
 	bufp = slbBufPool.Get().(*[]byte)
 	if cap(*bufp) < r.Size {
 		*bufp = make([]byte, r.Size)
@@ -34,6 +50,9 @@ func readImage(m *mem.Memory, r mem.Region) (image []byte, bufp *[]byte, err err
 	}
 	return image, bufp, nil
 }
+
+// ReleaseSLB returns a buffer ReadSLB handed out.
+func ReleaseSLB(bufp *[]byte) { slbBufPool.Put(bufp) }
 
 // This file implements the late-launch microcode of 2007 hardware.
 //
@@ -76,17 +95,10 @@ func (c *CPU) SKINIT(slbBase uint32) (*LaunchResult, error) {
 		c.Ring = 0
 	}
 	chip := c.chip
-
-	// Read the SLB header with microcode (raw) access.
-	var hdr [pal.HeaderSize]byte
-	if err := chip.Memory().ReadInto(hdr[:], slbBase); err != nil {
-		return nil, fmt.Errorf("cpu: SKINIT header: %w", err)
-	}
-	length, entry, err := pal.ParseHeader(hdr[:])
+	region, entry, err := SLBHeader(chip.Memory(), slbBase)
 	if err != nil {
 		return nil, fmt.Errorf("cpu: SKINIT: %w", err)
 	}
-	region := mem.Region{Base: slbBase, Size: length}
 
 	// DMA-protect the SLB pages via the DEV before anything else — the
 	// window between measurement and execution must be closed to devices.
@@ -98,16 +110,12 @@ func (c *CPU) SKINIT(slbBase uint32) (*LaunchResult, error) {
 	c.Reset()
 	c.Clock().Advance(c.Params.InitCost)
 
-	image, bufp, err := readImage(chip.Memory(), region)
+	image, bufp, err := ReadSLB(chip.Memory(), region)
 	if err != nil {
 		return nil, fmt.Errorf("cpu: SKINIT image: %w", err)
 	}
-	defer slbBufPool.Put(bufp)
-
-	// The measurement is served from the launch cache (launchcache.go)
-	// when the same bytes launched recently; a memcmp validates the hit.
-	meas := c.measureCached(region.Base, image)
-	res := &LaunchResult{Region: region, Entry: entry, PALMeasurement: meas}
+	defer ReleaseSLB(bufp)
+	res := &LaunchResult{Region: region, Entry: entry}
 
 	bus := chip.Bus()
 	if err := bus.SetLocality(4); err != nil {
@@ -121,17 +129,16 @@ func (c *CPU) SKINIT(slbBase uint32) (*LaunchResult, error) {
 			return nil, fmt.Errorf("cpu: SKINIT hash start: %w", err)
 		}
 		bus.TransferHash(image) // the Table 1 cost: SLB bytes through the TPM's wait states
-		if err := t.HashDataPremeasured(image, meas); err != nil {
+		if err := t.HashData(image); err != nil {
 			return nil, err
 		}
-		pcr17, err := t.HashEnd()
-		if err != nil {
+		if res.PALMeasurement, res.PCR17, err = t.HashEnd(); err != nil {
 			return nil, err
 		}
-		res.PCR17 = pcr17
 	} else {
 		// No TPM: the transfer still crosses the LPC bus at full speed.
 		bus.TransferHash(image)
+		res.PALMeasurement = tpm.MeasureImage(image)
 	}
 
 	c.EnterRegion(region, entry)
@@ -151,15 +158,10 @@ func (c *CPU) SENTER(slbBase uint32, module *acmod.Module, fused *rsa.PublicKey)
 		return nil, fmt.Errorf("cpu: SENTER requires a TPM")
 	}
 
-	var hdr [pal.HeaderSize]byte
-	if err := chip.Memory().ReadInto(hdr[:], slbBase); err != nil {
-		return nil, fmt.Errorf("cpu: SENTER header: %w", err)
-	}
-	length, entry, err := pal.ParseHeader(hdr[:])
+	region, entry, err := SLBHeader(chip.Memory(), slbBase)
 	if err != nil {
 		return nil, fmt.Errorf("cpu: SENTER: %w", err)
 	}
-	region := mem.Region{Base: slbBase, Size: length}
 
 	// The MPT protects the ACMod+PAL region from outside access; the DEV
 	// bit vector models it.
@@ -179,17 +181,15 @@ func (c *CPU) SENTER(slbBase uint32, module *acmod.Module, fused *rsa.PublicKey)
 	t := chip.TPM()
 
 	// Phase 1: the ACMod crosses the LPC bus and is measured into PCR 17.
-	// The launch cache vouches for the digest by content compare, so both
-	// the TPM_HASH sequence and the signature check below reuse it.
-	acmDigest := c.measureCached(acmTag, module.Code)
+	// The signature check below reuses the TPM's own digest of the bytes.
 	if err := t.HashStart(); err != nil {
 		return nil, fmt.Errorf("cpu: SENTER hash start: %w", err)
 	}
 	bus.TransferHash(module.Code)
-	if err := t.HashDataPremeasured(module.Code, acmDigest); err != nil {
+	if err := t.HashData(module.Code); err != nil {
 		return nil, err
 	}
-	pcr17, err := t.HashEnd()
+	acmDigest, pcr17, err := t.HashEnd()
 	if err != nil {
 		return nil, err
 	}
@@ -203,12 +203,12 @@ func (c *CPU) SENTER(slbBase uint32, module *acmod.Module, fused *rsa.PublicKey)
 
 	// Phase 2: the ACMod hashes the PAL on the main CPU and extends the
 	// 20-byte digest into PCR 18 — only a constant amount crosses the bus.
-	image, bufp, err := readImage(chip.Memory(), region)
+	image, bufp, err := ReadSLB(chip.Memory(), region)
 	if err != nil {
 		return nil, fmt.Errorf("cpu: SENTER image: %w", err)
 	}
-	meas := c.hashOnCPUCached(region.Base, image)
-	slbBufPool.Put(bufp)
+	meas := c.HashOnCPU(image)
+	ReleaseSLB(bufp)
 	pcr18, err := t.ExtendMicrocode(18, meas)
 	if err != nil {
 		return nil, err

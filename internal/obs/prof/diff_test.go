@@ -23,7 +23,6 @@ import (
 	"minimaltcb/internal/pal"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sksm"
-	"minimaltcb/internal/tpm"
 )
 
 // workSource yields five times (exercising suspend/resume and the SYIELD
@@ -82,9 +81,6 @@ func runWorkload(t *testing.T, profiled bool) (runResult, *prof.CPUProfiler) {
 		mg.Prof = collector
 	}
 	im := pal.MustBuild(workSource)
-	// Pre-warm the global measurement memo so both runs record the same
-	// measure_cache trace attribute regardless of test order.
-	tpm.MeasureMemoized(im.Bytes)
 	s, err := mg.NewSECB(im, 1, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,7 @@
 package prof
 
 import (
+	"bytes"
 	"encoding/hex"
 	"sort"
 	"sync"
@@ -108,14 +109,18 @@ var (
 
 // Enter begins attributing cycles to the image identified by hash —
 // called by sksm's SLAUNCH microcode when the PAL starts executing.
-// regionSize is the PAL's full memory region (code + data + stack); the
-// program counter ranges over it, not just over the image bytes.
+// image is the SLB SLAUNCH measured, which the collector copies the first
+// time it sees hash (the launch reads it through a pooled buffer); a
+// resume, which follows a launch, passes none. regionSize is the PAL's
+// full memory region (code + data + stack); the program counter ranges
+// over it, not just over the image bytes.
 func (p *CPUProfiler) Enter(hash tpm.Digest, image pal.Image, regionSize int, resumed bool) {
 	if p == nil {
 		return
 	}
 	r := p.images[hash]
 	if r == nil {
+		image.Bytes = bytes.Clone(image.Bytes)
 		r = &imageRec{hash: hash, image: image, svcs: make(map[svcKey]*svcCount)}
 		p.images[hash] = r
 	}
@@ -375,9 +380,10 @@ func (p *Profiler) NewCPU() *CPUProfiler {
 	return &CPUProfiler{images: make(map[tpm.Digest]*imageRec)}
 }
 
-// JobDone accrues one finished job to its tenant: cycles is the job's
-// execute-stage virtual time (instructions plus the TPM commands the PAL
-// issued), faulted marks PAL faults.
+// JobDone accrues one finished job to its tenant: hash is the measurement
+// SLAUNCH took, cycles is the job's execute-stage virtual time
+// (instructions plus the TPM commands the PAL issued), faulted marks PAL
+// faults.
 func (p *Profiler) JobDone(tenant string, hash tpm.Digest, cycles time.Duration, faulted bool) {
 	if p == nil {
 		return

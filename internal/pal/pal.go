@@ -36,17 +36,18 @@ type Image struct {
 func (im Image) Len() int { return len(im.Bytes) }
 
 // Built images are memoized by source text: assembly is a pure function of
-// the source, experiment sweeps and service jobs rebuild the same handful
-// of programs constantly, and returning the identical Image gives
-// downstream consumers (tpm.MeasureMemoized, the palsvc image cache) a
-// stable slice identity. Image bytes are immutable by contract — nothing
-// in the tree writes to Image.Bytes after Build. The cache is bounded.
+// the source, and experiment sweeps and service jobs rebuild the same
+// handful of programs constantly. Image bytes are immutable by contract —
+// nothing in the tree writes to Image.Bytes after Build. The cache is
+// bounded.
 var (
 	buildMu    sync.Mutex
 	buildCache = map[string]Image{}
 )
 
-const buildCacheLimit = 1024
+// CacheLimit bounds the image caches: crossing it empties the cache. The
+// PAL service's per-source image cache uses the same bound.
+const CacheLimit = 1024
 
 // Build assembles PAL source into an SLB image. The source is laid out
 // after the 4-byte header, so label arithmetic inside the source is
@@ -69,7 +70,7 @@ func Build(src string) (Image, error) {
 		return Image{}, err
 	}
 	buildMu.Lock()
-	if len(buildCache) >= buildCacheLimit {
+	if len(buildCache) >= CacheLimit {
 		buildCache = map[string]Image{}
 	}
 	buildCache[src] = im
@@ -140,7 +141,7 @@ func (im Image) Pad(size int) (Image, error) {
 	binary.LittleEndian.PutUint16(b[0:2], uint16(size%MaxImageSize))
 	out = Image{Bytes: b, Entry: im.Entry}
 	padMu.Lock()
-	if len(padCache) >= buildCacheLimit {
+	if len(padCache) >= CacheLimit {
 		padCache = map[padKey]Image{}
 	}
 	padCache[k] = out

@@ -5,6 +5,7 @@ import (
 
 	"minimaltcb/internal/core"
 	"minimaltcb/internal/evidence"
+	"minimaltcb/internal/pal"
 	"minimaltcb/internal/tpm"
 )
 
@@ -12,7 +13,9 @@ import (
 // their source text, so repeated tenants skip the assembler entirely. The
 // key is a digest of the *source* (the image — and hence the attested
 // measurement — is a pure function of it): tenants submitting
-// byte-identical source share one image and one attested identity.
+// byte-identical source share one image and one attested identity. Like
+// pal.Build's own cache it is emptied at pal.CacheLimit entries, so a
+// tenant sending ever-new sources cannot pin unbounded images.
 type palCache struct {
 	mu     sync.Mutex
 	byKey  map[tpm.Digest]*core.PAL
@@ -47,6 +50,9 @@ func (c *palCache) get(name, source string) (*core.PAL, error) {
 	if prior, ok := c.byKey[key]; ok {
 		p = prior
 	} else {
+		if len(c.byKey) >= pal.CacheLimit {
+			c.byKey = make(map[tpm.Digest]*core.PAL)
+		}
 		c.byKey[key] = p
 	}
 	c.mu.Unlock()

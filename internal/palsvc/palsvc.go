@@ -46,7 +46,6 @@ import (
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sim"
 	"minimaltcb/internal/sksm"
-	"minimaltcb/internal/tpm"
 )
 
 // AdmissionPolicy selects what happens when every sePCR is occupied.
@@ -737,8 +736,7 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 	res.Execute = sw.Elapsed()
 	s.metrics.observeExec(res.Execute)
 	if s.cfg.Profiler != nil {
-		h, _ := tpm.MeasureMemoized(p.Image.Bytes)
-		s.cfg.Profiler.JobDone(t.job.Name, h, res.Execute, runErr != nil)
+		s.cfg.Profiler.JobDone(t.job.Name, secb.Measurement, res.Execute, runErr != nil)
 	}
 	if runErr != nil {
 		// Reclaim whatever the failed run left behind. A faulted or

@@ -32,10 +32,11 @@ func (mg *Manager) Join(c *cpu.CPU, s *SECB) error {
 	}
 	s.JoinedCPUs = append(s.JoinedCPUs, c.ID)
 	// The joining core enters the PAL's trusted state too: clean
-	// registers, interrupts off, confined to the PAL region.
+	// registers, interrupts off, confined to the PAL region, at the
+	// entry SLAUNCH took from the SLB header.
 	c.Reset()
 	mg.Kernel.Machine.Clock.Advance(c.Params.InitCost)
-	c.EnterRegion(s.Region, s.Entry)
+	c.EnterRegion(s.Region, s.entry)
 	c.SetService(mg.serviceFor(s))
 	return nil
 }

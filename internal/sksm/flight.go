@@ -30,7 +30,7 @@ func (mg *Manager) crashBundle(s *SECB, reason string, ferr error) *prof.CrashBu
 		Region: prof.RegionInfo{
 			Base:     s.Region.Base,
 			Size:     s.Region.Size,
-			Entry:    s.Entry,
+			Entry:    s.entry,
 			SECBBase: s.SECBRegion.Base,
 		},
 		HotPCs: mg.Prof.HotPCs(s.Measurement, 8),

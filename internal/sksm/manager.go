@@ -168,10 +168,8 @@ func (mg *Manager) NewSECB(image pal.Image, extraDataPages int, quantum time.Dur
 		return nil, err
 	}
 	return &SECB{
-		Image:        image,
 		Region:       palRegion,
 		SECBRegion:   secbRegion,
-		Entry:        image.Entry,
 		SePCRHandle:  -1,
 		PreemptTimer: quantum,
 		OwnerCPU:     -1,
@@ -186,24 +184,13 @@ func (mg *Manager) NewSECB(image pal.Image, extraDataPages int, quantum time.Dur
 // ErrLaunchFailed.
 func (mg *Manager) SLAUNCH(c *cpu.CPU, s *SECB) error {
 	if !mg.Trace.Enabled() {
-		return mg.slaunch(c, s, nil)
+		return mg.slaunch(c, s)
 	}
-	// Open the span by hand (rather than via traced) so the launch path
-	// can annotate it with the measurement-cache outcome.
-	sp := mg.Trace.Start("SLAUNCH", "sksm")
-	sp.AttrInt("cpu", c.ID)
-	sp.Attr("from", s.State.String())
-	prev := mg.Trace.Swap(sp.Context())
-	err := mg.slaunch(c, s, sp)
-	mg.Trace.Swap(prev)
-	if err != nil {
-		sp.Attr("error", err.Error())
-	}
-	mg.Trace.End(sp)
-	return err
+	return mg.traced("SLAUNCH", func() error { return mg.slaunch(c, s) },
+		obs.Int("cpu", c.ID), obs.String("from", s.State.String()))
 }
 
-func (mg *Manager) slaunch(c *cpu.CPU, s *SECB, sp *obs.Span) error {
+func (mg *Manager) slaunch(c *cpu.CPU, s *SECB) error {
 	m := mg.Kernel.Machine
 	switch s.State {
 	case StateStart:
@@ -215,24 +202,22 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB, sp *obs.Span) error {
 			s.State = StateStart
 			return fmt.Errorf("%w: %w", ErrLaunchFailed, err)
 		}
-		// Measure: take the hardware TPM lock (§5.4.5 — with PALs on
-		// multiple CPUs, TPM access is arbitrated in hardware, not by
-		// untrusted software locks), allocate a sePCR, and stream the
-		// PAL to the TPM once.
+		// Measure: read the SLB from the pages just protected, taking
+		// its length and entry from the header there — what is measured
+		// is what runs, whatever the OS wrote or claimed before. Then
+		// take the hardware TPM lock (§5.4.5 — with PALs on multiple
+		// CPUs, TPM access is arbitrated in hardware, not by untrusted
+		// software locks), allocate a sePCR, and stream the PAL to the
+		// TPM once.
 		s.State = StateMeasure
-		// The SHA-1 over the image is memoized by slice identity: the
-		// multi-tenant service relaunches the same cached image
-		// constantly. The LPC streaming below still charges the full
-		// virtual transfer latency either way; only simulator CPU time
-		// is saved. The outcome is trace-visible so tcbtrace timelines
-		// distinguish cached launches.
-		meas, hit := tpm.MeasureMemoized(s.Image.Bytes)
-		s.Measurement = meas
-		if hit {
-			sp.Attr("measure_cache", "hit")
-		} else {
-			sp.Attr("measure_cache", "miss")
+		image, entry, bufp, err := readSLB(m.Chipset.Memory(), s.Region)
+		if err != nil {
+			m.Chipset.ReleaseRegion(s.fullRegion(), c.ID)
+			s.State = StateStart
+			return fmt.Errorf("%w: %w", ErrLaunchFailed, err)
 		}
+		defer cpu.ReleaseSLB(bufp)
+		s.Measurement = tpm.MeasureImage(image)
 		bus := m.Chipset.Bus()
 		if err := bus.Acquire(c.ID); err != nil {
 			m.Chipset.ReleaseRegion(s.fullRegion(), c.ID)
@@ -247,17 +232,18 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB, sp *obs.Span) error {
 			return fmt.Errorf("%w: %w", ErrLaunchFailed, err)
 		}
 		s.SePCRHandle = handle
-		bus.TransferHash(s.Image.Bytes)
+		bus.TransferHash(image)
 		bus.Release(c.ID)
 		s.MeasuredFlag = true
+		s.entry = entry
 
 		// Execute: reinitialize the core to its trusted state and enter.
 		c.Reset()
 		m.Clock.Advance(c.Params.InitCost)
-		c.EnterRegion(s.Region, s.Entry)
+		c.EnterRegion(s.Region, entry)
 		c.SetService(mg.serviceFor(s))
 		if mg.Prof != nil {
-			mg.Prof.Enter(s.Measurement, s.Image, s.Region.Size, false)
+			mg.Prof.Enter(s.Measurement, pal.Image{Bytes: image, Entry: entry}, s.Region.Size, false)
 			c.SetProfiler(mg.Prof)
 		}
 		s.OwnerCPU = c.ID
@@ -300,11 +286,11 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB, sp *obs.Span) error {
 		}
 		s.SePCRHandle = savedHandle
 		c.Reset()
-		c.EnterRegion(s.Region, s.Entry)
+		c.EnterRegion(s.Region, s.entry)
 		c.LoadState(saved)
 		c.SetService(mg.serviceFor(s))
 		if mg.Prof != nil {
-			mg.Prof.Enter(s.Measurement, s.Image, s.Region.Size, true)
+			mg.Prof.Enter(s.Measurement, pal.Image{}, s.Region.Size, true)
 			c.SetProfiler(mg.Prof)
 		}
 		c.VMEnter() // the hardware context-switch cost (§5.3.2, Table 2)
@@ -316,6 +302,21 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB, sp *obs.Span) error {
 	default:
 		return fmt.Errorf("%w: SLAUNCH from %v", ErrBadState, s.State)
 	}
+}
+
+// readSLB is the Measure step's read of the PAL from its protected pages:
+// the header at the region's base declares the SLB's length, which must fit
+// the region, and its entry point. The caller must cpu.ReleaseSLB(bufp).
+func readSLB(m *mem.Memory, r mem.Region) (image []byte, entry uint16, bufp *[]byte, err error) {
+	slb, entry, err := cpu.SLBHeader(m, r.Base)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if slb.Size > r.Size {
+		return nil, 0, nil, fmt.Errorf("sksm: SLB header declares %d bytes, region holds %d", slb.Size, r.Size)
+	}
+	image, bufp, err = cpu.ReadSLB(m, slb)
+	return image, entry, bufp, err
 }
 
 // Suspend implements the preemption-timer expiry / SYIELD path (§5.3):

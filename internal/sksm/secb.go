@@ -23,7 +23,6 @@ import (
 
 	"minimaltcb/internal/cpu"
 	"minimaltcb/internal/mem"
-	"minimaltcb/internal/pal"
 	"minimaltcb/internal/tpm"
 )
 
@@ -69,21 +68,22 @@ func (s State) String() string {
 // state is serialized into that page by the context-switch microcode —
 // the Go-side CPUState field is only the working copy.
 type SECB struct {
-	// Image is the PAL binary; Region the allocated pages (a superset of
-	// the image: data and stack space follow the binary).
-	Image  pal.Image
+	// Region is the PAL's allocated pages. NewSECB copies the image to
+	// its base, and data and stack space follow the binary. SLAUNCH
+	// measures and enters the SLB it finds there once the pages are
+	// protected: the header at the base declares the SLB's length, which
+	// must fit the region, and its entry point.
 	Region mem.Region
 	// SECBRegion is the page holding the hardware-written control block,
 	// contiguous with and directly below Region.
 	SECBRegion mem.Region
-	// Entry is the PAL entry offset within the region.
-	Entry uint16
 
 	// MeasuredFlag distinguishes first launch from resume (§5.1); it is
 	// honored only from the Suspend state, which prevents the untrusted
 	// OS from forging it (§5.3.1).
 	MeasuredFlag bool
-	// Measurement is SHA1 of the image, set during Measure.
+	// Measurement is SHA1 of the SLB in the protected pages, set during
+	// Measure.
 	Measurement tpm.Digest
 	// SePCRHandle is the TPM register bound at first launch (§5.4.1).
 	SePCRHandle int
@@ -117,6 +117,10 @@ type SECB struct {
 	// none). Set on the fault path so the later SKILL does not record the
 	// same incident twice.
 	CrashID uint64
+
+	// entry is the entry offset SLAUNCH read from the SLB header; joined
+	// cores start there too.
+	entry uint16
 }
 
 // fullRegion is the contiguous span the access-control table protects:

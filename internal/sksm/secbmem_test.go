@@ -156,9 +156,7 @@ func TestForgedSECBCannotResumeWithAttackerState(t *testing.T) {
 	}
 
 	forged := &SECB{
-		Image:        victim.Image,
 		Region:       victim.Region, // the victim's pages
-		Entry:        victim.Entry,
 		MeasuredFlag: true,
 		SePCRHandle:  victim.SePCRHandle,
 		OwnerCPU:     victim.OwnerCPU,

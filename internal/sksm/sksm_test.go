@@ -242,7 +242,7 @@ func TestSLAUNCHFailsOnPageConflict(t *testing.T) {
 	if err := mg.SLAUNCH(core2, b); err != nil {
 		t.Fatal(err)
 	} // b executing on core2
-	forged := &SECB{Image: im, Region: b.Region, Entry: im.Entry, SePCRHandle: -1, OwnerCPU: -1}
+	forged := &SECB{Region: b.Region, SePCRHandle: -1, OwnerCPU: -1}
 	core3 := mg.Kernel.Machine.CPUs[3]
 	if err := mg.SLAUNCH(core3, forged); !errors.Is(err, ErrLaunchFailed) {
 		t.Fatalf("overlapping SLAUNCH: %v", err)

@@ -1,6 +1,7 @@
 package tpm
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/aes"
 	"crypto/cipher"
@@ -9,76 +10,83 @@ import (
 	"encoding/binary"
 	"io"
 	"sync"
-	"unsafe"
 
 	"minimaltcb/internal/evidence"
 )
 
-// This file implements the measurement and crypto memoization layer.
+// This file implements the measurement cache and the crypto memoization
+// layer.
 //
-// Two observations make it sound. First, the multi-tenant service relaunches
-// the *same* PAL image over and over (palsvc's image cache hands every job
-// the identical Image.Bytes slice), so the SHA-1 over the image is a pure
-// function of a slice that never changes — it can be computed once and
-// replayed, while the TPM still charges the profile's virtual hash latency
-// every launch. Second, all TPM-internal randomness comes from a seeded
-// deterministic RNG, so experiment sweeps and benchmark iterations replay
-// byte-identical RSA operations; the modular exponentiation is a pure
-// function of (key, input) and its result can be cached without changing a
-// single output bit. Virtual-clock charges are applied by the callers
-// exactly as before in both the hit and miss cases — memoization removes
-// *simulator* cost only (see docs/PERFORMANCE.md).
+// Two observations make them sound. First, late launch measures the same
+// few images over and over — the service relaunches each tenant's PAL, and
+// experiment sweeps relaunch one PAL per trial — so the SHA-1 over an
+// image can be served from a table of recently measured bytes, as long as
+// every hit compares the full content; the launch microcode still charges
+// the profile's virtual transfer and hash latency on every launch. Second,
+// all TPM-internal randomness comes from a seeded deterministic RNG, so
+// experiment sweeps and benchmark iterations replay byte-identical RSA
+// operations; the modular exponentiation is a pure function of
+// (key, input) and its result can be cached without changing a single
+// output bit. Virtual-clock charges are applied by the callers exactly as
+// before in both the hit and miss cases — caching removes *simulator* cost
+// only (see docs/PERFORMANCE.md).
 //
-// All caches are bounded: above a fixed entry count they are emptied, so a
-// long-lived service with ever-fresh nonces degrades to cache misses rather
-// than unbounded growth.
+// All caches are bounded: the measurement cache evicts round-robin, and the
+// memo tables are emptied above a fixed entry count, so a long-lived
+// service with ever-fresh nonces degrades to cache misses rather than
+// unbounded growth.
 
 // memoLimit bounds each memo table; crossing it empties the table.
 const memoLimit = 4096
 
-// ---- Measurement memoization -----------------------------------------
+// ---- Measurement cache -----------------------------------------------
 
-// measureKey identifies a byte slice by backing-array identity. Holding the
-// data pointer in the key pins the backing array, so an address can never be
-// recycled for different bytes while its entry is live.
-type measureKey struct {
-	ptr *byte
-	n   int
-}
+// MeasureCacheEntries is the number of slots in the measurement cache. It
+// is fully associative with round-robin eviction: a latency sweep launches
+// a handful of distinct image sizes in rotation, and a direct-mapped table
+// would let two sizes sharing a slot evict each other on every pass.
+const MeasureCacheEntries = 16
 
-var measureMemo struct {
+// measureCache is process-global: experiment sweeps build fresh machines
+// by the dozen, and a per-chip cache would re-copy and re-hash the same
+// images for each of them. The digest is a pure function of the bytes and
+// a content compare guards every hit, so sharing cannot leak state between
+// machines.
+var measureCache struct {
 	sync.Mutex
-	m map[measureKey]Digest
+	next    int
+	entries [MeasureCacheEntries]struct {
+		img  []byte // private copy of the measured bytes; nil when unused
+		meas Digest
+	}
 }
 
-// MeasureMemoized hashes b into a measurement, returning a cached digest
-// when the identical slice (same backing array and length) was measured
-// before. hit reports whether the cache supplied the digest, so callers can
-// expose it on trace spans (measure_cache=hit|miss).
-//
-// Only use this with slices that are never mutated after first measurement
-// (PAL image bytes); the cache keys on identity, not content, and would
-// return stale digests for a mutated slice. Mutable or transient buffers
-// must use Measure.
-func MeasureMemoized(b []byte) (d Digest, hit bool) {
-	if len(b) == 0 {
-		return evidence.Measure(b), false
+// MeasureImage returns the measurement (SHA-1) of b. Recently measured
+// bytes are served from the measurement cache, which every late launch
+// shares: SKINIT and SENTER through TPM_HASH_END and the ACMod's on-CPU
+// hash, SLAUNCH directly. A hit needs a full content compare — no address,
+// slice identity or caller-supplied digest is trusted — so a rewritten
+// image is always measured afresh. b is not retained.
+func MeasureImage(b []byte) Digest {
+	mc := &measureCache
+	mc.Lock()
+	for i := range mc.entries {
+		e := &mc.entries[i]
+		if e.img != nil && bytes.Equal(e.img, b) { // bytes.Equal compares lengths first
+			d := e.meas
+			mc.Unlock()
+			return d
+		}
 	}
-	k := measureKey{ptr: unsafe.SliceData(b), n: len(b)}
-	measureMemo.Lock()
-	d, hit = measureMemo.m[k]
-	measureMemo.Unlock()
-	if hit {
-		return d, true
-	}
-	d = evidence.Measure(b)
-	measureMemo.Lock()
-	if measureMemo.m == nil || len(measureMemo.m) >= memoLimit {
-		measureMemo.m = make(map[measureKey]Digest)
-	}
-	measureMemo.m[k] = d
-	measureMemo.Unlock()
-	return d, false
+	mc.Unlock()
+	d := evidence.Measure(b)
+	mc.Lock()
+	e := &mc.entries[mc.next]
+	mc.next = (mc.next + 1) % MeasureCacheEntries
+	e.img = append(e.img[:0], b...)
+	e.meas = d
+	mc.Unlock()
+	return d
 }
 
 // ---- Deterministic RSA memoization -----------------------------------

@@ -1,71 +1,101 @@
 package tpm
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/rsa"
+	"fmt"
+	"sync"
 	"testing"
 
 	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/sim"
 )
 
-func TestMeasureMemoizedMatchesMeasure(t *testing.T) {
+func TestMeasureImageMatchesMeasure(t *testing.T) {
 	img := []byte("some PAL image bytes")
 	want := evidence.Measure(img)
-
-	d, hit := MeasureMemoized(img)
-	if d != want {
-		t.Fatalf("first measurement %x, want %x", d, want)
+	for i := 0; i < 2; i++ {
+		if d := MeasureImage(img); d != want {
+			t.Fatalf("measurement %d = %x, want %x", i, d, want)
+		}
 	}
-	if hit {
-		t.Fatal("first measurement of a fresh slice reported a cache hit")
-	}
-	d, hit = MeasureMemoized(img)
-	if d != want {
-		t.Fatalf("memoized measurement %x, want %x", d, want)
-	}
-	if !hit {
-		t.Fatal("second measurement of the same slice missed the cache")
-	}
-
-	// A distinct slice with identical content is a different identity: the
-	// cache keys on the backing array, so it must miss (and still hash
-	// correctly).
-	clone := append([]byte(nil), img...)
-	d, hit = MeasureMemoized(clone)
-	if d != want {
+	// The cache keys on content, not identity: a distinct slice holding
+	// the same bytes gets the same digest.
+	if d := MeasureImage(append([]byte(nil), img...)); d != want {
 		t.Fatalf("clone measurement %x, want %x", d, want)
 	}
-	if hit {
-		t.Fatal("distinct backing array reported a cache hit")
+}
+
+func TestMeasureImageEmpty(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		if MeasureImage(nil) != evidence.Measure(nil) || MeasureImage([]byte{}) != evidence.Measure(nil) {
+			t.Fatal("empty-input digest wrong")
+		}
 	}
 }
 
-func TestMeasureMemoizedEmptySlice(t *testing.T) {
-	d, hit := MeasureMemoized(nil)
-	if hit {
-		t.Fatal("empty slice reported a hit")
-	}
-	if d != evidence.Measure(nil) {
-		t.Fatal("empty-slice digest wrong")
-	}
-}
-
-// TestMeasureMemoizedSteadyStateAllocs pins the launch path's claim: once
-// an image has been measured, re-measuring it costs zero allocations.
-func TestMeasureMemoizedSteadyStateAllocs(t *testing.T) {
+// TestMeasureImageSteadyStateAllocs pins the launch path's claim: once an
+// image has been measured, re-measuring it costs zero allocations.
+func TestMeasureImageSteadyStateAllocs(t *testing.T) {
 	img := make([]byte, 4096)
 	for i := range img {
 		img[i] = byte(i * 7)
 	}
-	MeasureMemoized(img) // warm the cache entry
+	want := MeasureImage(img) // warm the cache entry
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, hit := MeasureMemoized(img); !hit {
-			t.Fatal("steady-state measurement missed the cache")
+		if MeasureImage(img) != want {
+			t.Fatal("steady-state measurement changed")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("memoized Measure allocates %v allocs/op, want 0", allocs)
+		t.Fatalf("MeasureImage allocates %v allocs/op on a hit, want 0", allocs)
+	}
+}
+
+// TestMeasureImageTamperAfterHit: rewriting one byte of a slice that was
+// just served from the cache must re-measure — the same backing array with
+// new content is a new image.
+func TestMeasureImageTamperAfterHit(t *testing.T) {
+	img := []byte("an image the OS is about to rewrite in place")
+	MeasureImage(img)
+	MeasureImage(img) // hit
+	img[10] ^= 0x5a
+	if got, want := MeasureImage(img), evidence.Measure(img); got != want {
+		t.Fatalf("tampered image measured %x, want %x", got, want)
+	}
+}
+
+// TestMeasureImageConcurrent: every palsvc worker shares the process-wide
+// cache. Goroutines measure overlapping images — more of them than the
+// cache holds, so hits, misses and evictions interleave — and every answer
+// must be the plain SHA-1 of the bytes asked about.
+func TestMeasureImageConcurrent(t *testing.T) {
+	imgs := make([][]byte, MeasureCacheEntries+8)
+	want := make([]Digest, len(imgs))
+	for i := range imgs {
+		imgs[i] = bytes.Repeat([]byte{byte(i)}, 256+i%3) // some lengths collide
+		want[i] = evidence.Measure(imgs[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 500; n++ {
+				i := (g*7 + n) % len(imgs)
+				if MeasureImage(imgs[i]) != want[i] {
+					errs <- fmt.Sprintf("goroutine %d: image %d measured wrong", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -74,15 +74,9 @@ type TPM struct {
 	hashing  bool
 	hashBuf  []byte
 	hashBufP *[]byte // pooled backing for hashBuf while a hash is open
-	// Premeasured fast path (HashDataPremeasured): the caller-supplied
-	// digest is used by HashEnd iff that call's bytes were the sequence's
-	// only data.
-	hashKnown    Digest
-	hashKnownLen int
-	hashKnownSet bool
-	booted       bool
-	extends      int // statistics: number of Extend operations served
-	unsealOK     int // statistics: successful unseals
+	booted   bool
+	extends  int // statistics: number of Extend operations served
+	unsealOK int // statistics: successful unseals
 
 	sePCRs []sePCR
 
@@ -339,7 +333,6 @@ func (t *TPM) HashStart() error {
 		t.pcrs[i] = Digest{}
 	}
 	t.hashing = true
-	t.hashKnownSet = false
 	if t.hashBufP == nil {
 		t.hashBufP = hashBufPool.Get().(*[]byte)
 	}
@@ -368,43 +361,21 @@ func (t *TPM) HashData(b []byte) error {
 	return nil
 }
 
-// HashDataPremeasured is HashData for a caller that already knows SHA-1
-// of b (the CPU's launch-measurement cache). The bytes still enter the
-// buffered sequence — the model's state is unchanged — but if b turns out
-// to be the sequence's only data, HashEnd reuses d instead of re-hashing
-// the buffer. Mixing with other HashData calls quietly falls back to the
-// full hash, so the fast path can never change a PCR value.
-func (t *TPM) HashDataPremeasured(b []byte, d Digest) error {
+// HashEnd executes TPM_HASH_END: the buffered bytes are measured and the
+// digest extended into PCR 17. It returns the measurement together with
+// the resulting PCR 17 value. The digest comes from the measurement cache
+// (MeasureImage), which checks the buffered bytes themselves, so no caller
+// can hand the chip a digest for bytes it did not receive.
+func (t *TPM) HashEnd() (measurement, pcr17 Digest, err error) {
 	if !t.hashing {
-		return ErrNotHashing
-	}
-	if len(t.hashBuf) == 0 {
-		t.hashKnown = d
-		t.hashKnownLen = len(b)
-		t.hashKnownSet = true
-	}
-	t.hashBuf = append(t.hashBuf, b...)
-	return nil
-}
-
-// HashEnd executes TPM_HASH_END: the buffered bytes are hashed and the
-// digest extended into PCR 17. It returns the resulting PCR 17 value.
-func (t *TPM) HashEnd() (Digest, error) {
-	if !t.hashing {
-		return Digest{}, ErrNotHashing
+		return Digest{}, Digest{}, ErrNotHashing
 	}
 	t.hashing = false
-	var meas Digest
-	if t.hashKnownSet && len(t.hashBuf) == t.hashKnownLen {
-		meas = t.hashKnown
-	} else {
-		meas = evidence.Measure(t.hashBuf)
-	}
-	t.hashKnownSet = false
+	measurement = MeasureImage(t.hashBuf)
 	t.releaseHashBuf()
-	t.pcrs[evidence.FirstDynamicPCR] = evidence.ExtendDigest(Digest{}, meas)
+	t.pcrs[evidence.FirstDynamicPCR] = evidence.ExtendDigest(Digest{}, measurement)
 	t.auditEvent("late_launch", -1, t.pcrs[evidence.FirstDynamicPCR])
-	return t.pcrs[evidence.FirstDynamicPCR], nil
+	return measurement, t.pcrs[evidence.FirstDynamicPCR], nil
 }
 
 // GetRandom executes TPM_GetRandom, returning n bytes from the TPM's RNG.

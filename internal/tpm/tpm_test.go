@@ -135,9 +135,12 @@ func TestHashSequenceResetsDynamicPCRsAndExtends(t *testing.T) {
 	if err := chip.HashData(pal[10:]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := chip.HashEnd()
+	meas, got, err := chip.HashEnd()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if meas != evidence.Measure(pal) {
+		t.Fatalf("HashEnd measurement = %x, want SHA-1 of the streamed bytes", meas)
 	}
 	want := evidence.ExtendDigest(Digest{}, evidence.Measure(pal))
 	if got != want {
@@ -154,7 +157,7 @@ func TestHashSequenceStateErrors(t *testing.T) {
 	if err := chip.HashData([]byte("x")); !errors.Is(err, ErrNotHashing) {
 		t.Fatalf("HashData without start: %v", err)
 	}
-	if _, err := chip.HashEnd(); !errors.Is(err, ErrNotHashing) {
+	if _, _, err := chip.HashEnd(); !errors.Is(err, ErrNotHashing) {
 		t.Fatalf("HashEnd without start: %v", err)
 	}
 	bus.SetLocality(4)
@@ -170,7 +173,7 @@ func TestBootResetsHashState(t *testing.T) {
 	chip.HashStart()
 	chip.HashData([]byte("partial"))
 	chip.Boot()
-	if _, err := chip.HashEnd(); !errors.Is(err, ErrNotHashing) {
+	if _, _, err := chip.HashEnd(); !errors.Is(err, ErrNotHashing) {
 		t.Fatalf("hash survived reboot: %v", err)
 	}
 	v, _ := chip.PCRValue(evidence.FirstDynamicPCR)

@@ -12,6 +12,7 @@ import (
 	"minimaltcb/internal/core"
 	"minimaltcb/internal/mem"
 	"minimaltcb/internal/platform"
+	"minimaltcb/internal/sksm"
 	"minimaltcb/internal/tpm"
 )
 
@@ -158,6 +159,70 @@ func TestDMACardAgainstBothArchitectures(t *testing.T) {
 
 	// Recommended hardware: the access-control table covers executing
 	// and suspended PALs alike (exercised in TestDMAAttackDuringSession).
+}
+
+// Capability: the OS, or a DMA-capable NIC it drives, rewrites an approved
+// PAL's pages after placing them and before SLAUNCH. SLAUNCH measures the
+// pages once it has protected them, so the sePCR names the attacker's code
+// and the quote fails verification against the approved PAL; an honest run
+// of the same PAL still verifies.
+func TestRewriteBeforeSLAUNCH(t *testing.T) {
+	sys, err := core.NewSystem(fast(platform.Recommended(platform.HPdc5750(), 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	approved, _ := core.CompilePAL("approved", "ldi r0, 0\nsvc 0")
+	evil, _ := core.CompilePAL("evil", `
+	ldi	r0, msg
+	ldi	r1, 4
+	svc	6
+	ldi	r0, 0
+	svc	0
+msg:	.ascii "EVIL"
+`)
+	nic := chipset.NewDevice("pci-nic", sys.Machine.Chipset)
+	for _, tc := range []struct {
+		name    string
+		rewrite func(base uint32, b []byte) error
+	}{
+		{"honest", nil},
+		{"os", sys.Machine.Chipset.Memory().WriteRaw},
+		{"dma", nic.Write},
+	} {
+		secb, err := sys.SKSM.NewSECB(approved.Image, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.rewrite != nil {
+			if err := tc.rewrite(secb.Region.Base, evil.Image.Bytes); err != nil {
+				t.Fatalf("%s: rewrite: %v", tc.name, err)
+			}
+		}
+		if err := sys.SKSM.RunToCompletion(sys.PALCore(), secb); err != nil {
+			t.Fatal(err)
+		}
+		nonce := []byte("tm nonce rewrite " + tc.name)
+		batch, err := sys.SKSM.QuoteBatchAfterExit([]*sksm.SECB{secb}, [][]byte{nonce}, nonce, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SKSM.Release(secb); err != nil {
+			t.Fatal(err)
+		}
+		res := &core.Result{
+			Batch: batch,
+			Log:   attest.Log{{PCR: -1, Description: approved.Name, Measurement: approved.Measurement()}},
+		}
+		_, verr := sys.VerifyRecommended(approved, res, nonce)
+		switch {
+		case tc.rewrite == nil && verr != nil:
+			t.Fatalf("honest run failed verification: %v", verr)
+		case tc.rewrite != nil && string(secb.Output) != "EVIL":
+			t.Fatalf("%s: output %q, want the attacker's EVIL", tc.name, secb.Output)
+		case tc.rewrite != nil && verr == nil:
+			t.Fatalf("%s: the attacker's run verified as the approved PAL", tc.name)
+		}
+	}
 }
 
 // Capability: power cycling. A reboot resets the dynamic PCRs to -1 so a
