@@ -9,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race tcbbench loc tcb-loc bench benchcmp soak soak-short cluster-soak audit-verify
+.PHONY: check fmt build vet test race tcbbench loc tcb-loc bench benchcmp soak soak-short cluster-soak audit-verify fuzz-short
 
-check: fmt build vet test race tcbbench tcb-loc benchcmp audit-verify soak-short
+check: fmt build vet test race tcbbench tcb-loc benchcmp audit-verify soak-short fuzz-short
 
 # fmt fails when gofmt would change any tracked .go file. It lists tracked
 # files only, so the benchmark's untracked .bench_build tree (its Go module
@@ -76,6 +76,18 @@ soak-short:
 	CHAOS_SOAK_PROFILE=$(CHAOS_SOAK_PROFILE) CHAOS_SOAK_DURATION=1200ms \
 		CHAOS_SOAK_SEED=$(CHAOS_SOAK_SEED) \
 		$(GO) test -count 1 -run TestSoakZeroLossUnderChaos ./internal/palsvc
+
+# fuzz-short runs, for 10 s each, the fuzzers of the two decoders that take
+# bytes from the network: palsvc's run frames and attest's batch quotes.
+# `make test` runs only their seed corpora. The fuzzer writes a crashing
+# input under the package's testdata/fuzz/; commit it with the fix, and
+# every later `make test` replays it as a seed. Minimizing each new
+# interesting input is capped at 100 runs: uncapped, FuzzRunFrame spent
+# most of its 10 s minimizing a few-hundred-byte input and ran ~10,000
+# inputs instead of ~66,000.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzRunFrame$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/palsvc
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyBatchedQuote$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attest
 
 # cluster-soak is the fleet-level acceptance run (see docs/CLUSTER.md): a
 # palrouter-shaped Router over three chaos-injected backends under

@@ -238,7 +238,7 @@ func (r *Router) route(req *palsvc.WireRequest) *palsvc.WireResponse {
 	// trace fields) forwards untouched.
 	var route *obs.Span
 	if r.cfg.Tracer.Enabled() {
-		ctx := routeTraceContext(req)
+		ctx := req.TraceContext()
 		if ctx.Trace.IsZero() {
 			ctx = r.cfg.Tracer.NewTrace()
 		}
@@ -359,19 +359,6 @@ func (r *Router) route(req *palsvc.WireRequest) *palsvc.WireResponse {
 		resp.TraceID = route.Context().Trace.String()
 	}
 	return resp
-}
-
-// routeTraceContext parses a request's propagated trace context; absent or
-// malformed fields yield the zero Context and the router mints a root.
-func routeTraceContext(req *palsvc.WireRequest) obs.Context {
-	if req.TraceID == "" {
-		return obs.Context{}
-	}
-	id, err := obs.ParseTraceID(req.TraceID)
-	if err != nil || id.IsZero() {
-		return obs.Context{}
-	}
-	return obs.Context{Trace: id, Span: req.ParentSpan}
 }
 
 // traceOp answers the trace wire op with a stitched cluster-wide dump.

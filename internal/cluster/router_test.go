@@ -494,3 +494,29 @@ func TestRouterAnswersCoalescedFrames(t *testing.T) {
 		t.Errorf("second answer %+v, want the router's own ping answer", ping)
 	}
 }
+
+// TestRouterMixedCodecFleet: a tenant that dialled the router sends run
+// frames, the router forwards them as run frames to a backend that
+// accepted its handshake offer and as JSON to one that predates run frames,
+// and both answer. With stealing off, each answer comes from the backend
+// the job was aimed at.
+func TestRouterMixedCodecFleet(t *testing.T) {
+	_, kl := startBackend(t, palsvc.Config{})
+	current := kl.Addr().String()
+	legacy := legacyBackend(t)
+	r := newTestRouter(t, []string{current, legacy}, func(c *Config) { c.StealDepth = -1 })
+	cl, err := palsvc.Dial(serveRouter(t, r), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, tc := range []struct{ backend, output string }{{current, "hello"}, {legacy, "legacy"}} {
+		resp, err := cl.Run(&palsvc.WireRequest{Name: "mixed", Source: sourceForPrimary(t, r, tc.backend)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK || resp.Backend != tc.backend || string(resp.Output) != tc.output {
+			t.Errorf("run aimed at %s answered %+v, want output %q from it", tc.backend, resp, tc.output)
+		}
+	}
+}

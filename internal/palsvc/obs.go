@@ -5,6 +5,7 @@ import (
 
 	"minimaltcb/internal/cpu"
 	"minimaltcb/internal/obs"
+	"minimaltcb/internal/tpm"
 )
 
 // obsHooks mirrors the service's internal metrics into Prometheus-style
@@ -99,6 +100,16 @@ func (s *Service) bindRegistry(r *obs.Registry) {
 		func() float64 { h, _ := s.cache.stats(); return float64(h) })
 	r.CounterFunc("palsvc_image_cache_misses_total", "PAL image cache misses (assembler runs).",
 		func() float64 { _, m := s.cache.stats(); return float64(m) })
+	// The TPM's measurement cache and crypto memo are shared by every
+	// machine in the process, this service's or not.
+	r.CounterFunc("palsvc_measure_cache_hits_total", "Late-launch measurement cache hits, process-wide.",
+		func() float64 { return float64(tpm.CacheStats().MeasureHits) })
+	r.CounterFunc("palsvc_measure_cache_misses_total", "Late-launch measurement cache misses (images hashed afresh), process-wide.",
+		func() float64 { return float64(tpm.CacheStats().MeasureMisses) })
+	r.CounterFunc("palsvc_crypto_memo_hits_total", "Deterministic RSA memo hits, process-wide.",
+		func() float64 { return float64(tpm.CacheStats().CryptoHits) })
+	r.CounterFunc("palsvc_crypto_memo_misses_total", "Deterministic RSA memo misses (RSA operations run), process-wide.",
+		func() float64 { return float64(tpm.CacheStats().CryptoMisses) })
 	// Threaded-code tier counters: the CPU keeps them as atomics, so the
 	// scrape reads safely without taking any machine lock.
 	r.CounterFunc("palsvc_blocks_compiled_total", "Basic blocks compiled to threaded code across machines.",

@@ -10,6 +10,7 @@ import (
 
 	"minimaltcb/internal/obs"
 	"minimaltcb/internal/sim"
+	"minimaltcb/internal/tpm"
 )
 
 // TestStageStatsDegenerateCases pins the summary semantics for tiny
@@ -334,6 +335,46 @@ func TestRegistryExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestTPMCacheCountersExposed: the TPM's process-wide measurement-cache
+// and crypto-memo counts scrape as counters that say they are process-wide,
+// and each reads what tpm.CacheStats reported around the scrape.
+func TestTPMCacheCountersExposed(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestService(t, Config{Registry: reg})
+	if _, err := s.Run(Job{Name: "m", Source: helloSource}); err != nil {
+		t.Fatal(err)
+	}
+	before := tpm.CacheStats()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	after := tpm.CacheStats()
+	text := b.String()
+	for name, pick := range map[string]func(tpm.CacheCounts) uint64{
+		"palsvc_measure_cache_hits_total":   func(c tpm.CacheCounts) uint64 { return c.MeasureHits },
+		"palsvc_measure_cache_misses_total": func(c tpm.CacheCounts) uint64 { return c.MeasureMisses },
+		"palsvc_crypto_memo_hits_total":     func(c tpm.CacheCounts) uint64 { return c.CryptoHits },
+		"palsvc_crypto_memo_misses_total":   func(c tpm.CacheCounts) uint64 { return c.CryptoMisses },
+	} {
+		help := "# HELP " + name + " "
+		if i := strings.Index(text, help); i < 0 || !strings.Contains(strings.SplitN(text[i:], "\n", 2)[0], "process-wide") {
+			t.Errorf("%s: no help text saying it is process-wide", name)
+		}
+		var v float64
+		if i := strings.Index(text, "\n"+name+" "); i < 0 {
+			t.Errorf("%s not exposed", name)
+		} else if _, err := fmt.Sscanf(text[i+len(name)+2:], "%g", &v); err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if lo, hi := pick(before), pick(after); v < float64(lo) || v > float64(hi) {
+			t.Errorf("%s = %v, want between %d and %d", name, v, lo, hi)
+		}
+	}
+	if after.MeasureHits+after.MeasureMisses == 0 {
+		t.Error("a launched job left the measurement cache uncounted")
 	}
 }
 

@@ -19,15 +19,16 @@
 //     and quote generation serialize on it, while verification (pure
 //     public-key cryptography, off-platform by definition) runs fully in
 //     parallel;
-//   - the result layer caches compiled PAL images by source digest and
-//     relies on internal/attest's memoized verifier so repeated tenants
-//     skip assembler and RSA work.
+//   - the result layer caches compiled PAL images by source digest, so
+//     repeated tenants skip the assembler, and verifies each batch quote
+//     by authenticating the batch once (over the machine's quote session
+//     when it has one) and then checking each job's entry.
 //
 // Metrics (counters, queue depth, sePCR occupancy, per-stage latency
 // distributions over sim time) are available programmatically via
 // Service.Metrics and over the wire via the stats op of the length-prefixed
-// protocol in wire.go, which cmd/palservd fronts with a TCP server and a
-// built-in load generator.
+// protocol in wire.go (JSON, with a binary frame for the run op), which
+// cmd/palservd fronts with a TCP server and a built-in load generator.
 package palsvc
 
 import (

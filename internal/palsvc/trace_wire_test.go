@@ -245,7 +245,7 @@ func TestTracingDisabledAllocFree(t *testing.T) {
 	var slo *obs.SLOTracker
 	req := &WireRequest{Op: OpRun, Name: "hot", Source: "src"}
 	allocs := testing.AllocsPerRun(200, func() {
-		ctx := wireTraceContext(req)
+		ctx := req.TraceContext()
 		sp := tracer.StartSpan(ctx, "job", "pipeline")
 		sp.Attr("name", req.Name)
 		sp.AttrInt("attempt", 1)

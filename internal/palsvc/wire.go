@@ -17,8 +17,11 @@ import (
 )
 
 // Wire protocol: each message is a 4-byte big-endian length followed by a
-// JSON body. The same framing runs in both directions; a connection carries
-// any number of request/response pairs in order.
+// body. The same framing runs in both directions; a connection carries any
+// number of request/response pairs in order. A body is JSON, or, for the
+// run op between peers that agreed on it at Dial, a binary run frame
+// (runframe.go). The server tells them apart by the first body byte and
+// answers in the codec the request used.
 
 // MaxFrame bounds a single frame body; anything larger is rejected before
 // allocation so a hostile peer cannot make the service reserve gigabytes
@@ -42,10 +45,24 @@ func WriteFrame(w io.Writer, body []byte) error {
 	if len(body) > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
 	}
+	return writeFrame(w, func(frame []byte) []byte { return append(frame, body...) })
+}
+
+// writeFrame writes the frame whose body appendBody appends, encoding it
+// straight into a pooled buffer after a header it fills in afterwards, so
+// a run frame is copied once, into the buffer that goes to the socket. A
+// body past MaxFrame is not written.
+func writeFrame(w io.Writer, appendBody func([]byte) []byte) error {
 	bp := frameBufs.Get().(*[]byte)
-	frame := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(body)))
-	frame = append(frame, body...)
-	_, err := w.Write(frame)
+	frame := appendBody(append((*bp)[:0], 0, 0, 0, 0))
+	n := len(frame) - 4
+	var err error
+	if n > MaxFrame {
+		err = fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	} else {
+		binary.BigEndian.PutUint32(frame, uint32(n))
+		_, err = w.Write(frame)
+	}
 	if cap(frame) <= maxPooledFrame {
 		*bp = frame
 		frameBufs.Put(bp)
@@ -160,6 +177,11 @@ type WireRequest struct {
 	Image string `json:"image,omitempty"`
 	Since uint64 `json:"since,omitempty"`
 	Limit int    `json:"limit,omitempty"`
+
+	// RunFrame, on a ping, offers to send run requests as run frames.
+	// Only Dial's handshake makes the offer; a server that predates run
+	// frames drops the unknown field and its answer does not accept.
+	RunFrame bool `json:"run_frame,omitempty"`
 }
 
 // TraceDump is the trace op's payload: one node's (or, from a router, a
@@ -232,6 +254,10 @@ type WireResponse struct {
 	// TraceID echoes the trace the job ran under (propagated or
 	// server-minted), so callers can report and stitch it later.
 	TraceID string `json:"trace_id,omitempty"`
+
+	// RunFrame accepts a ping's run-frame offer: every ServeConns server
+	// reads run frames, and it answers true only to a ping that offered.
+	RunFrame bool `json:"run_frame,omitempty"`
 }
 
 // Serve accepts connections on l until the listener closes and answers
@@ -243,9 +269,9 @@ func (s *Service) Serve(l net.Listener, connTimeout time.Duration) error {
 // ServeConns is the wire protocol's server loop, shared by Service.Serve
 // and the cluster router. It accepts connections on l and serves each in
 // its own goroutine: read a request frame, answer it with dispatch, write
-// the response frame, until the peer closes or a framing or deadline error
-// occurs. connTimeout bounds each request read/response write (0 means no
-// per-request deadline).
+// the response frame in the request's codec, until the peer closes or a
+// framing or deadline error occurs. connTimeout bounds each request
+// read/response write (0 means no per-request deadline).
 //
 // Accept errors that mean the process is out of descriptors or buffers are
 // retried after a backoff, because every live connection is still being
@@ -291,21 +317,44 @@ func serveConn(c net.Conn, connTimeout time.Duration, dispatch func(*WireRequest
 		if err != nil {
 			return
 		}
-		var req WireRequest
-		resp := &WireResponse{}
-		if err := json.Unmarshal(body, &req); err != nil {
-			resp.Err = "bad request: " + err.Error()
-		} else {
-			resp = dispatch(&req)
-		}
-		out, err := json.Marshal(resp)
-		if err != nil {
-			return
-		}
-		if err := WriteFrame(c, out); err != nil {
+		if err := answer(c, body, dispatch); err != nil {
 			return
 		}
 	}
+}
+
+// answer decodes one request body in the codec its first byte names, runs
+// dispatch on it, and writes the response to w in the same codec. A body
+// that does not decode is answered with a bad-request error, and the
+// connection stays usable.
+func answer(w io.Writer, body []byte, dispatch func(*WireRequest) *WireResponse) error {
+	var req WireRequest
+	runFrame := body[0] == runRequestTag
+	var err error
+	if runFrame {
+		err = req.decodeRunFrame(body)
+	} else {
+		err = json.Unmarshal(body, &req)
+	}
+	var resp *WireResponse
+	switch {
+	case err != nil:
+		resp = &WireResponse{Err: "bad request: " + err.Error()}
+	case req.Op == OpPing && req.RunFrame:
+		accept := *dispatch(&req)
+		accept.RunFrame = true
+		resp = &accept
+	default:
+		resp = dispatch(&req)
+	}
+	if runFrame {
+		return writeFrame(w, resp.appendRunFrame)
+	}
+	out, err := json.Marshal(resp)
+	if err != nil {
+		return err
+	}
+	return WriteFrame(w, out)
 }
 
 // dispatch executes one wire request against the service.
@@ -325,7 +374,7 @@ func (s *Service) dispatch(req *WireRequest) *WireResponse {
 		return s.auditDump(req)
 	case OpRun:
 		j := Job{Name: req.Name, Source: req.Source, Input: req.Input, NoAttest: req.NoAttest,
-			Tenant: req.Tenant, Trace: wireTraceContext(req)}
+			Tenant: req.Tenant, Trace: req.TraceContext()}
 		if req.DeadlineMS != 0 {
 			// A negative deadline resolves to a time in the past and fails
 			// with deadline_exceeded, matching the local-API contract.
@@ -366,10 +415,11 @@ func (s *Service) dispatch(req *WireRequest) *WireResponse {
 	}
 }
 
-// wireTraceContext parses a request's propagated trace context. Absent or
-// malformed fields yield the zero Context (the server mints its own root);
-// the empty-string fast path keeps the hot run dispatch allocation-free.
-func wireTraceContext(req *WireRequest) obs.Context {
+// TraceContext parses the request's propagated trace context, for the
+// service and the cluster router alike. Absent or malformed fields yield
+// the zero Context (the caller mints its own root); the empty-string fast
+// path keeps the hot run dispatch allocation-free.
+func (req *WireRequest) TraceContext() obs.Context {
 	if req.TraceID == "" {
 		return obs.Context{}
 	}
@@ -448,13 +498,18 @@ type Client struct {
 	conn    net.Conn
 	r       *bufio.Reader
 	timeout time.Duration // per-roundTrip deadline; 0 = none
+	// runFrame is set once Dial's handshake found a server that reads run
+	// frames; until then, and on every other op, requests go as JSON.
+	runFrame bool
 }
 
 // Dial connects to a palsvc server. A positive timeout bounds the TCP
 // connect (net.DialTimeout), a ping handshake proving the peer actually
 // speaks the protocol, and — unless overridden with SetTimeout — every
-// subsequent round trip. A zero timeout preserves the original
-// block-forever behaviour and skips the handshake; routers and probers must
+// subsequent round trip. The handshake ping offers run frames, and the
+// Client sends its run requests in binary only if the server accepts. A
+// zero timeout preserves the original block-forever behaviour and skips
+// the handshake, so that Client speaks JSON only; routers and probers must
 // always pass one, because a black-holed backend would otherwise hang the
 // caller indefinitely.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
@@ -467,10 +522,12 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		// Handshake under the same budget: a listener that accepts but
 		// never answers (black hole, half-dead process) fails here, not at
 		// the first real request.
-		if err := c.Ping(); err != nil {
+		accepted, err := c.ping(true)
+		if err != nil {
 			_ = conn.Close()
 			return nil, fmt.Errorf("palsvc: dial handshake with %s: %w", addr, err)
 		}
+		c.runFrame = accepted
 	}
 	return c, nil
 }
@@ -489,12 +546,18 @@ func (c *Client) roundTrip(req *WireRequest) (*WireResponse, error) {
 			return nil, err
 		}
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := WriteFrame(c.conn, body); err != nil {
-		return nil, err
+	if c.runFrame && req.Op == OpRun {
+		if err := writeFrame(c.conn, req.appendRunFrame); err != nil {
+			return nil, err
+		}
+	} else {
+		body, err := json.Marshal(req)
+		if err != nil {
+			return nil, err
+		}
+		if err := WriteFrame(c.conn, body); err != nil {
+			return nil, err
+		}
 	}
 	if c.r == nil {
 		c.r = bufio.NewReader(c.conn)
@@ -504,7 +567,12 @@ func (c *Client) roundTrip(req *WireRequest) (*WireResponse, error) {
 		return nil, err
 	}
 	var resp WireResponse
-	if err := json.Unmarshal(out, &resp); err != nil {
+	if out[0] == runResponseTag {
+		err = resp.decodeRunFrame(out)
+	} else {
+		err = json.Unmarshal(out, &resp)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -607,12 +675,19 @@ func (c *Client) Audit(req *WireRequest) (*AuditDump, error) {
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	resp, err := c.roundTrip(&WireRequest{Op: OpPing})
+	_, err := c.ping(false)
+	return err
+}
+
+// ping checks liveness, offering run frames if offer is set, and reports
+// whether the server accepted them.
+func (c *Client) ping(offer bool) (bool, error) {
+	resp, err := c.roundTrip(&WireRequest{Op: OpPing, RunFrame: offer})
 	if err != nil {
-		return err
+		return false, err
 	}
 	if !resp.OK {
-		return fmt.Errorf("palsvc: ping failed: %s", resp.Err)
+		return false, fmt.Errorf("palsvc: ping failed: %s", resp.Err)
 	}
-	return nil
+	return resp.RunFrame, nil
 }

@@ -54,8 +54,9 @@ const MeasureCacheEntries = 16
 // machines.
 var measureCache struct {
 	sync.Mutex
-	next    int
-	entries [MeasureCacheEntries]struct {
+	next         int
+	hits, misses uint64
+	entries      [MeasureCacheEntries]struct {
 		img  []byte // private copy of the measured bytes; nil when unused
 		meas Digest
 	}
@@ -74,10 +75,12 @@ func MeasureImage(b []byte) Digest {
 		e := &mc.entries[i]
 		if e.img != nil && bytes.Equal(e.img, b) { // bytes.Equal compares lengths first
 			d := e.meas
+			mc.hits++
 			mc.Unlock()
 			return d
 		}
 	}
+	mc.misses++
 	mc.Unlock()
 	d := evidence.Measure(b)
 	mc.Lock()
@@ -124,14 +127,40 @@ const (
 
 var cryptoMemo struct {
 	sync.Mutex
-	m map[cryptoKey][]byte
+	m            map[cryptoKey][]byte
+	hits, misses uint64
 }
 
 func cryptoLookup(k cryptoKey) ([]byte, bool) {
 	cryptoMemo.Lock()
 	v, ok := cryptoMemo.m[k]
+	if ok {
+		cryptoMemo.hits++
+	} else {
+		cryptoMemo.misses++
+	}
 	cryptoMemo.Unlock()
 	return v, ok
+}
+
+// CacheCounts are the lifetime hit and miss counts of the process-global
+// measurement cache (MeasureImage) and deterministic-crypto memo. Every
+// machine in the process shares both, so the counts are process-wide.
+type CacheCounts struct {
+	MeasureHits, MeasureMisses uint64
+	CryptoHits, CryptoMisses   uint64
+}
+
+// CacheStats returns the caches' counts so far.
+func CacheStats() CacheCounts {
+	var c CacheCounts
+	measureCache.Lock()
+	c.MeasureHits, c.MeasureMisses = measureCache.hits, measureCache.misses
+	measureCache.Unlock()
+	cryptoMemo.Lock()
+	c.CryptoHits, c.CryptoMisses = cryptoMemo.hits, cryptoMemo.misses
+	cryptoMemo.Unlock()
+	return c
 }
 
 func cryptoStore(k cryptoKey, v []byte) {

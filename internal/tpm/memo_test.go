@@ -152,3 +152,48 @@ func TestCryptoMemoNoCrossKeyAliasing(t *testing.T) {
 		t.Fatal("copied key produced a different signature")
 	}
 }
+
+// TestCacheStatsCounts: CacheStats counts every measurement-cache and
+// crypto-memo lookup once, as a hit or a miss. The images and the digest
+// are this test's own, so no other test's entries can hit.
+func TestCacheStatsCounts(t *testing.T) {
+	delta := func(do func()) CacheCounts {
+		before := CacheStats()
+		do()
+		after := CacheStats()
+		return CacheCounts{
+			MeasureHits: after.MeasureHits - before.MeasureHits, MeasureMisses: after.MeasureMisses - before.MeasureMisses,
+			CryptoHits: after.CryptoHits - before.CryptoHits, CryptoMisses: after.CryptoMisses - before.CryptoMisses,
+		}
+	}
+	img := func(i int) []byte { return []byte(fmt.Sprintf("TestCacheStatsCounts image %d", i)) }
+	if got := delta(func() { MeasureImage(img(0)); MeasureImage(img(0)) }); got != (CacheCounts{MeasureHits: 1, MeasureMisses: 1}) {
+		t.Errorf("one image measured twice counted %+v, want one miss then one hit", got)
+	}
+	// One more distinct image than the cache has slots evicts the first.
+	if got := delta(func() {
+		for i := 1; i <= MeasureCacheEntries+1; i++ {
+			MeasureImage(img(i))
+		}
+	}); got != (CacheCounts{MeasureMisses: MeasureCacheEntries + 1}) {
+		t.Errorf("%d distinct images counted %+v, want a miss each", MeasureCacheEntries+1, got)
+	}
+	if got := delta(func() { MeasureImage(img(1)) }); got != (CacheCounts{MeasureMisses: 1}) {
+		t.Errorf("the evicted first image counted %+v, want a miss", got)
+	}
+
+	key, err := rsa.GenerateKey(sim.NewRNG(0xca5e), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := evidence.Measure([]byte("TestCacheStatsCounts digest"))
+	if got := delta(func() {
+		for i := 0; i < 2; i++ {
+			if _, err := memoSignPKCS1v15(key, digest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got != (CacheCounts{CryptoHits: 1, CryptoMisses: 1}) {
+		t.Errorf("one digest signed twice counted %+v, want one miss then one hit", got)
+	}
+}
