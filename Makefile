@@ -5,13 +5,15 @@
 # measurement cache and crypto memo are process-global and used by every
 # service worker, the profiler, whose aggregation root is shared across
 # machines, and the chaos injector, whose decision streams are drawn from
-# every worker at once.
+# every worker at once. batch-stress repeats the quote batcher's tests
+# under the race detector at one, two and four CPUs, because how jobs
+# group into batches depends on scheduling.
 
 GO ?= go
 
-.PHONY: check fmt build vet test race tcbbench loc tcb-loc bench benchcmp soak soak-short cluster-soak audit-verify fuzz-short
+.PHONY: check fmt build vet test race batch-stress tcbbench loc tcb-loc bench benchcmp soak soak-short cluster-soak audit-verify fuzz-short
 
-check: fmt build vet test race tcbbench tcb-loc benchcmp audit-verify soak-short fuzz-short
+check: fmt build vet test race batch-stress tcbbench tcb-loc benchcmp audit-verify soak-short fuzz-short
 
 # fmt fails when gofmt would change any tracked .go file. It lists tracked
 # files only, so the benchmark's untracked .bench_build tree (its Go module
@@ -34,6 +36,13 @@ race:
 		./internal/obs ./internal/obs/prof ./internal/cpu ./internal/mem \
 		./internal/chaos ./internal/sksm ./internal/audit ./internal/tpm \
 		./cmd/palservd ./cmd/attestd
+
+# batch-stress runs the batcher's tests ten times each at -cpu 1, 2 and 4
+# under the race detector. The batcher flushes whatever jobs wait for it,
+# so a test that counts on one grouping passes at one -cpu value and
+# flakes at another; this step makes such a test fail here first.
+batch-stress:
+	$(GO) test -race -count 10 -cpu 1,2,4 -run 'TestBatch' ./internal/palsvc
 
 # tcbbench vets and tests the end-to-end benchmark. It is a module of its
 # own (cmd/tcbbench/go.mod), so the root `go test ./...` never compiles

@@ -189,12 +189,15 @@ func TestDebugStackDisabledIsInert(t *testing.T) {
 func TestLoadgenWritesChromeTrace(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "trace.json")
+	// The ring holds every record of the run: a full default ring
+	// overwrites the oldest sePCR.Exclusive spans while their Quote spans
+	// survive, and the ordering check below needs both.
 	err := runLoadgen(loadgenOpts{
 		clients:     2,
 		duration:    300 * time.Millisecond,
 		svc:         testCfg(4),
 		connTimeout: 10 * time.Second,
-		debug:       debugOpts{traceOut: out, traceFormat: "chrome"},
+		debug:       debugOpts{traceOut: out, traceFormat: "chrome", traceBuf: 1 << 16},
 	})
 	if err != nil {
 		t.Fatal(err)

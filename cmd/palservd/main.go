@@ -65,7 +65,6 @@ func main() {
 		reject      = flag.Bool("reject", false, "reject (not queue) jobs when the sePCR bank is exhausted")
 		blockComp   = flag.Bool("block-compile", true, "compile hot basic blocks into threaded code (disable to force pure interpretation)")
 		batchSize   = flag.Int("quote-batch", 0, "batch up to N completed jobs per attestation quote (one AIK signature per batch, verified over a per-machine session); 0 or 1 attests each job as a batch of one")
-		batchWait   = flag.Duration("quote-batch-wait", 200*time.Microsecond, "max time the quote batcher lingers for stragglers after the first job arrives")
 
 		chaosProfile = flag.String("chaos-profile", "", "fault-injection profile: off|light|heavy|tpm|storm|soak, optionally with k=v overrides (e.g. \"soak,tpm_fail=0.1\"); \"\" disables chaos")
 		chaosSeed    = flag.Uint64("chaos-seed", 0, "fault-injection seed (0 = derive from time; the chosen seed is printed so any run can be replayed)")
@@ -105,7 +104,7 @@ func main() {
 	svcCfg := serviceConfig(*machines, *sePCRs, *workers, *queueDepth,
 		*quantum, *keyBits, *seed, *deadline, *reject)
 	svcCfg.DisableBlockCompile = !*blockComp
-	svcCfg.Batch = palsvc.BatchPolicy{MaxSize: *batchSize, MaxWait: *batchWait}
+	svcCfg.Batch = palsvc.BatchPolicy{MaxSize: *batchSize}
 	if err := applyChaos(&svcCfg, *chaosProfile, *chaosSeed); err != nil {
 		fmt.Fprintf(os.Stderr, "palservd: %v\n", err)
 		os.Exit(2)

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/obs"
 	"minimaltcb/internal/sim"
 )
@@ -30,16 +31,12 @@ type TreeHead struct {
 	Sig    []byte `json:"sig,omitempty"`
 }
 
-// headDomain is the domain-separation prefix of every head signing message.
-// TPM quote signatures commit to "QUOT"-prefixed digests, so the two signed
-// object kinds can never be confused even under the same AIK.
-const headDomain = "minimaltcb/audit/tree-head/v1\n"
-
-// SigningMessage is the byte string the AIK signs: domain prefix, size,
-// root, virtual timestamp, and the node name, all in fixed order.
+// SigningMessage is the byte string the AIK signs: the domain prefix
+// evidence.AuditHeadDomain, size, root, virtual timestamp, and the node
+// name, all in fixed order.
 func (h *TreeHead) SigningMessage() []byte {
-	msg := make([]byte, 0, len(headDomain)+8+len(h.Root)+8+1+len(h.Node))
-	msg = append(msg, headDomain...)
+	msg := make([]byte, 0, len(evidence.AuditHeadDomain)+8+len(h.Root)+8+1+len(h.Node))
+	msg = append(msg, evidence.AuditHeadDomain...)
 	var u [8]byte
 	binary.BigEndian.PutUint64(u[:], h.Size)
 	msg = append(msg, u[:]...)

@@ -113,6 +113,11 @@ func QuoteSignedDigest(composite Digest, nonce []byte) Digest {
 	return Measure(b)
 }
 
+// AuditHeadDomain begins every audit tree head message the AIK signs
+// (internal/audit). The TPM signs no head message without it, and quote,
+// batch and session grant messages begin with "QUOT", "QBAT" and "SESS".
+const AuditHeadDomain = "minimaltcb/audit/tree-head/v1\n"
+
 // VerifyQuote checks a quote's AIK signature. It says nothing about what
 // the composite means; the caller replays its event log against it.
 func VerifyQuote(aik *rsa.PublicKey, q *Quote) error {

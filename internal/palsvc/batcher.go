@@ -13,14 +13,18 @@ import (
 
 // The pipelined quote batcher is the service's one attestation path: each
 // machine runs one batcher goroutine, and workers whose PALs finished
-// execution hand their parked registers to it. The batcher collects up to
-// Batch.MaxSize of them (lingering at most Batch.MaxWait for stragglers)
-// and attests the whole set with a single TPM_SEPCR_QuoteBatch under the
-// machine mutex (the §5.4.5 arbitration stand-in) — one AIK signature
-// over the Merkle root of every job's composite. With MaxSize <= 1 every
-// flush is a batch of one. Each worker gets back its leaf's inclusion
-// proof against the authenticated root and verifies it lock-free, in
-// parallel with other jobs.
+// execution hand their parked registers to it. The batcher group-commits:
+// it takes the first hand-off, drains whatever else is already waiting,
+// up to Batch.MaxSize, and attests the lot with a single
+// TPM_SEPCR_QuoteBatch — one AIK signature over the Merkle root of every
+// job's composite. The TPM command runs under the machine mutex (the
+// §5.4.5 arbitration stand-in); the host's RSA signature, which the
+// command has already charged in virtual time, runs after the lock is
+// dropped. While one batch is signed, the next jobs execute and queue, so
+// batches grow with the load and no timer is involved. With MaxSize <= 1
+// every flush is a batch of one. Each worker gets back its leaf's
+// inclusion proof against the authenticated root and verifies it
+// lock-free, in parallel with other jobs.
 //
 // The batcher also owns the machine's quote session: the first flush
 // opens one (one extra AIK signature and one verifier-side RSA verify),
@@ -33,18 +37,13 @@ import (
 // BatchPolicy configures the per-machine quote batcher.
 type BatchPolicy struct {
 	// MaxSize bounds how many jobs one batch quote covers. Values <= 1
-	// make every flush a batch of one: one signature per job and no
-	// linger timer.
+	// make every flush a batch of one: one signature per job.
 	MaxSize int
-	// MaxWait bounds how long the batcher lingers for stragglers after
-	// the first job arrives; the timer never delays a full batch. Zero
-	// defaults to 200µs.
-	MaxWait time.Duration
 }
 
 // DefaultBatchPolicy is what palservd enables with -quote-batch.
 func DefaultBatchPolicy() BatchPolicy {
-	return BatchPolicy{MaxSize: 8, MaxWait: 200 * time.Microsecond}
+	return BatchPolicy{MaxSize: 8}
 }
 
 // quoteItem is one job's hand-off from its worker to the machine's
@@ -85,48 +84,58 @@ func (s *Service) quoteBatched(m *machine, t *task, p *core.PAL, res *JobResult,
 }
 
 // batcher is the per-machine collection loop. One goroutine per machine:
-// the first arrival starts the MaxWait linger timer (unless MaxSize <= 1,
-// which flushes it alone), a full batch flushes immediately, and channel
-// close (service shutdown) flushes whatever was collected before exiting.
+// it flushes each batch drainBatch hands it, and exits once the channel
+// is closed (service shutdown) and empty.
 func (s *Service) batcher(m *machine) {
 	defer s.batchWg.Done()
-	maxSize := s.cfg.Batch.MaxSize
 	for {
-		first, ok := <-m.batchCh
+		items, ok := drainBatch(m.batchCh, s.cfg.Batch.MaxSize)
 		if !ok {
 			return
-		}
-		items := []*quoteItem{first}
-		if maxSize > 1 {
-			timer := time.NewTimer(s.cfg.Batch.MaxWait)
-		collect:
-			for len(items) < maxSize {
-				select {
-				case it, ok := <-m.batchCh:
-					if !ok {
-						break collect
-					}
-					items = append(items, it)
-				case <-timer.C:
-					break collect
-				}
-			}
-			timer.Stop()
 		}
 		s.flushBatch(m, items)
 	}
 }
 
-// flushBatch signs one batch under a single machine-lock acquisition:
-// lazily open the quote session, one TPM_SEPCR_QuoteBatch over every
-// collected register, release the SECBs. Then, with the lock dropped, it
-// authenticates the batch once and fans it back to the waiting workers.
-// The session opens inside the first job's quote span, so its TPM
-// command joins the trace that waited for it. On a failed batch every
-// register is freed unquoted (the TPM's injection point sits before the
-// signature, so failed batches leave registers parked in Quote) and every
-// job gets the same retryable error — with its verifier nonce unconsumed,
-// the supervisor retry can reuse it.
+// drainBatch is the group-commit rule. It blocks for the first hand-off,
+// then takes whatever is already waiting on ch without blocking, up to
+// maxSize items in all (at least one). It reports false once ch is
+// closed and empty.
+func drainBatch(ch <-chan *quoteItem, maxSize int) ([]*quoteItem, bool) {
+	first, ok := <-ch
+	if !ok {
+		return nil, false
+	}
+	items := []*quoteItem{first}
+	for len(items) < maxSize {
+		select {
+		case it, ok := <-ch:
+			if !ok {
+				return items, true
+			}
+			items = append(items, it)
+		default:
+			return items, true
+		}
+	}
+	return items, true
+}
+
+// flushBatch attests one batch. Under a single machine-lock acquisition
+// it lazily opens the quote session, runs one TPM_SEPCR_QuoteBatch command
+// over every collected register and releases the SECBs. Then, with the
+// lock dropped and admission woken, it computes the batch's AIK
+// signature, authenticates the batch once and fans it back to the waiting
+// workers. The session opens inside the first job's quote span, so its
+// TPM command joins the trace that waited for it; each job's quote span
+// ends after the signature, at the virtual time the command ended.
+//
+// On a failed command every register is freed unquoted (the TPM's
+// injection point sits before anything is consumed, so failed batches
+// leave registers parked in Quote) and every job gets the same retryable
+// error — with its verifier nonce unconsumed, the supervisor retry can
+// reuse it. A signing failure comes after the registers are Free, so the
+// jobs fail with an error that is not retryable.
 func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 	sys := m.sys
 	n := len(items)
@@ -152,7 +161,7 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 		s.openQuoteSession(m)
 	}
 	sw := sim.StartStopwatch(sys.Machine.Clock)
-	q, qerr := sys.SKSM.QuoteBatchAfterExit(secbs, nonces, batchNonce, m.sessID)
+	q, sign, qerr := sys.SKSM.QuoteBatchAfterExitUnsigned(secbs, nonces, batchNonce, m.sessID)
 	elapsed := sw.Elapsed()
 	if qerr != nil {
 		for _, sb := range secbs {
@@ -166,21 +175,36 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 		}
 	}
 	m.scope.Swap(prevCtx)
-	for _, sp := range spans {
-		if sp == nil {
-			continue
-		}
-		if qerr != nil {
-			sp.Attr("error", qerr.Error())
-		}
-		sp.EndVirt(sys.Machine.Clock.Now())
-	}
+	virtEnd := sys.Machine.Clock.Now()
 	for range items {
 		s.metrics.releaseOne() // every register is Free again
 	}
 	m.mu.Unlock()
 	for range items {
 		s.wakeAdmission()
+	}
+
+	// The host computes the AIK signature with the lock dropped: the
+	// command has already charged its virtual time.
+	var serr error
+	if qerr == nil {
+		signStart := time.Now()
+		serr = sign()
+		signDur := time.Since(signStart)
+		for _, sp := range spans {
+			s.tracer.RecordSpan(sp.Context(), "sign", "pipeline", signStart, signDur)
+		}
+	}
+	for _, sp := range spans {
+		if sp == nil {
+			continue
+		}
+		if qerr != nil {
+			sp.Attr("error", qerr.Error())
+		} else if serr != nil {
+			sp.Attr("error", serr.Error())
+		}
+		sp.EndVirt(virtEnd)
 	}
 
 	// The amortized accounting is the point: each job is charged its
@@ -191,19 +215,21 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 		it.res.QuoteGen = per
 		s.metrics.observeQuote(per)
 	}
-	s.metrics.noteBatch(n, qerr == nil)
+	s.metrics.noteBatch(n, qerr == nil && serr == nil)
 
-	if qerr != nil {
-		s.noteMachineFault(m)
-		err := fmt.Errorf("palsvc: batched quoting: %w", qerr)
-		for _, it := range items {
-			it.done <- quoteOutcome{err: err}
-		}
-		return
+	var err error
+	switch {
+	case qerr != nil:
+		err = fmt.Errorf("palsvc: batched quoting: %w", qerr)
+	case serr != nil:
+		// %v, not %w: the registers are consumed, so no retry can
+		// quote them again.
+		err = fmt.Errorf("palsvc: signing batch quote: %v", serr)
+	case relErr != nil:
+		err = fmt.Errorf("palsvc: releasing SECB: %w", relErr)
 	}
-	if relErr != nil {
+	if err != nil {
 		s.noteMachineFault(m)
-		err := fmt.Errorf("palsvc: releasing SECB: %w", relErr)
 		for _, it := range items {
 			it.done <- quoteOutcome{err: err}
 		}

@@ -185,8 +185,8 @@ func (m *metrics) releaseOne() {
 }
 
 // noteBatch records one batch flush of n jobs; ok reports whether the
-// TPM signed it (a failed batch never reached the signature, so it
-// spent no RSA and counts toward nothing).
+// batch got its AIK signature (a failed batch spent no RSA, or none that
+// produced a signature, and counts toward nothing).
 func (m *metrics) noteBatch(n int, ok bool) {
 	if !ok {
 		return

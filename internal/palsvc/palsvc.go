@@ -16,9 +16,12 @@
 //   - a worker pool multiplexes jobs across one or more platform replicas.
 //     Each machine is a single-threaded simulator, so a per-machine mutex
 //     plays the role of the hardware TPM arbitration of §5.4.5: execution
-//     and quote generation serialize on it, while verification (pure
-//     public-key cryptography, off-platform by definition) runs fully in
-//     parallel;
+//     and the TPM's quote command serialize on it, while the host's RSA
+//     signature over the quote and verification (pure public-key
+//     cryptography, off-platform by definition) run outside it;
+//   - a per-machine batcher group-commits quotes: it attests every
+//     finished job already waiting for it with one TPM batch quote, so
+//     batches grow with the load while the previous batch is signed;
 //   - the result layer caches compiled PAL images by source digest, so
 //     repeated tenants skip the assembler, and verifies each batch quote
 //     by authenticating the batch once (over the machine's quote session
@@ -120,10 +123,11 @@ type Config struct {
 	// value keeps the tier on (the CPU default).
 	DisableBlockCompile bool
 	// Batch configures the per-machine quote batcher (batcher.go) every
-	// attested job goes through: completed jobs are attested in batches
-	// of up to MaxSize with one AIK signature over a Merkle root,
-	// verified over a per-machine quote session. The zero value attests
-	// each job as a batch of one — one signature per job.
+	// attested job goes through: completed jobs that are waiting when the
+	// batcher flushes are attested together, up to MaxSize, with one AIK
+	// signature over a Merkle root, verified over a per-machine quote
+	// session. The zero value attests each job as a batch of one — one
+	// signature per job.
 	Batch BatchPolicy
 	// Audit, when non-nil, records every trust-relevant lifecycle event —
 	// launch measurements, sePCR transitions, seal/unseal decisions, PAL
@@ -348,9 +352,6 @@ func New(cfg Config) (*Service, error) {
 		cfg.Audit.SetSigner(s.machines[0].sys.Machine.TPM())
 		s.auditRec = cfg.Audit.Recorder(nil, -1)
 	}
-	if s.cfg.Batch.MaxWait <= 0 {
-		s.cfg.Batch.MaxWait = 200 * time.Microsecond
-	}
 	for _, m := range s.machines {
 		// Room for one batch of hand-offs while the batcher signs the
 		// previous one.
@@ -438,9 +439,9 @@ func (s *Service) Close() {
 	s.closed = true
 	close(s.queue)
 	s.closeMu.Unlock()
-	// Workers first: each blocks at most Batch.MaxWait on its final batch
-	// outcome, which the (still running) batchers deliver. Only then do
-	// the batch channels close — no worker can send on a closed channel.
+	// Workers first: each blocks on its final batch outcome until the
+	// (still running) batchers flush it. Only then do the batch channels
+	// close — no worker can send on a closed channel.
 	s.wg.Wait()
 	for _, m := range s.machines {
 		close(m.batchCh)

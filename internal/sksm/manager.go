@@ -515,23 +515,43 @@ func (mg *Manager) RunToCompletion(c *cpu.CPU, s *SECB) error {
 // validated Done before any register is consumed — a rejected or failed
 // batch leaves every register attestable on retry. nonces[i] is the per-job verifier
 // nonce for secbs[i]; sessionID, when non-zero, names an open quote
-// session to MAC the batch under.
+// session to MAC the batch under. It is QuoteBatchAfterExitUnsigned
+// followed by its signing step.
 func (mg *Manager) QuoteBatchAfterExit(secbs []*SECB, nonces [][]byte, batchNonce []byte, sessionID uint64) (*tpm.BatchQuote, error) {
+	q, sign, err := mg.QuoteBatchAfterExitUnsigned(secbs, nonces, batchNonce, sessionID)
+	if err != nil {
+		return nil, err
+	}
+	if err := sign(); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// QuoteBatchAfterExitUnsigned is QuoteBatchAfterExit in the two steps of
+// tpm.QuoteSePCRBatchUnsigned: the TPM command, with its virtual time and
+// profiler attribution, happens here, under whatever serializes the
+// machine; the returned sign computes the AIK signature and needs no
+// machine state, so the caller may run it after dropping that lock. Once
+// this returns without error the registers are Free, even if sign later
+// fails.
+func (mg *Manager) QuoteBatchAfterExitUnsigned(secbs []*SECB, nonces [][]byte, batchNonce []byte, sessionID uint64) (*tpm.BatchQuote, func() error, error) {
 	if len(secbs) != len(nonces) {
-		return nil, fmt.Errorf("sksm: %d SECBs but %d nonces", len(secbs), len(nonces))
+		return nil, nil, fmt.Errorf("sksm: %d SECBs but %d nonces", len(secbs), len(nonces))
 	}
 	reqs := make([]tpm.BatchRequest, len(secbs))
 	for i, s := range secbs {
 		if s.State != StateDone {
-			return nil, fmt.Errorf("%w: batch quote of %v SECB", ErrBadState, s.State)
+			return nil, nil, fmt.Errorf("%w: batch quote of %v SECB", ErrBadState, s.State)
 		}
 		reqs[i] = tpm.BatchRequest{Handle: s.SePCRHandle, Nonce: nonces[i]}
 	}
 	var q *tpm.BatchQuote
+	var sign func() error
 	v0 := mg.Kernel.Machine.Clock.Now()
 	err := mg.traced("QuoteBatchAfterExit", func() error {
 		var err error
-		q, err = mg.Kernel.Machine.TPM().QuoteSePCRBatch(reqs, batchNonce, sessionID)
+		q, sign, err = mg.Kernel.Machine.TPM().QuoteSePCRBatchUnsigned(reqs, batchNonce, sessionID)
 		return err
 	}, obs.Int("batch", len(secbs)))
 	if mg.Prof != nil && err == nil {
@@ -542,7 +562,7 @@ func (mg *Manager) QuoteBatchAfterExit(secbs []*SECB, nonces [][]byte, batchNonc
 			mg.Prof.NoteQuote(s.Measurement, per)
 		}
 	}
-	return q, err
+	return q, sign, err
 }
 
 // Release returns a SECB's pages to the OS allocator. It accepts Done

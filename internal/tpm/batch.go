@@ -68,29 +68,54 @@ func (t *TPM) OpenQuoteSession(nonce []byte) (*QuoteSession, error) {
 // register: all composites become Merkle leaves, the AIK signs the root
 // once, and each entry carries its inclusion proof. sessionID, when
 // non-zero, must name an open session; the batch is then additionally
-// MACed under the session key.
-//
-// Failure atomicity is batch-wide: every register is validated to be in the Quote state BEFORE anything is
-// consumed, and the fault-injection point sits before the signature — a
-// failed batch leaves all N registers still in Quote, attestable on retry,
-// and no verifier nonce is burned.
+// MACed under the session key. It is QuoteSePCRBatchUnsigned followed by
+// its signing step.
 func (t *TPM) QuoteSePCRBatch(reqs []BatchRequest, batchNonce []byte, sessionID uint64) (*BatchQuote, error) {
+	q, sign, err := t.QuoteSePCRBatchUnsigned(reqs, batchNonce, sessionID)
+	if err != nil {
+		return nil, err
+	}
+	if err := sign(); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// QuoteSePCRBatchUnsigned is TPM_SEPCR_QuoteBatch split in two steps. The
+// command does all of the TPM's work: it validates the registers, builds
+// the leaves, root, proofs and session MAC, consumes the registers, and
+// charges the bus and virtual time, including the signature's. It returns
+// the quote without its Signature, and sign, which computes the AIK
+// signature over the digest the command computed and stores it in the
+// quote. sign touches no TPM state (only the AIK, fixed at New, and the
+// process-global crypto memo), so the host may run it after releasing the
+// lock that serializes the TPM's commands. It signs nothing a caller
+// chooses: rewriting the quote before sign yields a signature over the
+// TPM's own root, which the verifier rejects.
+//
+// Failure atomicity is batch-wide: every register is validated to be in
+// the Quote state before anything is consumed, and the fault-injection
+// point sits before that — a failed command leaves all N registers still
+// in Quote, attestable on retry, and no verifier nonce is burned. An error
+// from sign comes after the registers are Free, so the batch cannot be
+// retried; a validated AIK never produces one.
+func (t *TPM) QuoteSePCRBatchUnsigned(reqs []BatchRequest, batchNonce []byte, sessionID uint64) (q *BatchQuote, sign func() error, err error) {
 	if len(reqs) == 0 {
-		return nil, evidence.ErrEmptyBatch
+		return nil, nil, evidence.ErrEmptyBatch
 	}
 	// Validate everything before mutating anything. A duplicated handle is
 	// rejected here too: a register can be consumed only once per batch.
 	seen := make(map[int]bool, len(reqs))
 	for _, r := range reqs {
 		if r.Handle < 0 || r.Handle >= len(t.sePCRs) {
-			return nil, fmt.Errorf("%w: %d", ErrSePCRHandle, r.Handle)
+			return nil, nil, fmt.Errorf("%w: %d", ErrSePCRHandle, r.Handle)
 		}
 		if seen[r.Handle] {
-			return nil, fmt.Errorf("%w: sePCR %d listed twice in batch", ErrSePCRState, r.Handle)
+			return nil, nil, fmt.Errorf("%w: sePCR %d listed twice in batch", ErrSePCRState, r.Handle)
 		}
 		seen[r.Handle] = true
 		if st := t.sePCRs[r.Handle].state; st != SePCRQuote {
-			return nil, fmt.Errorf("%w: sePCR %d is %v, batch quote needs Quote state",
+			return nil, nil, fmt.Errorf("%w: sePCR %d is %v, batch quote needs Quote state",
 				ErrSePCRState, r.Handle, st)
 		}
 	}
@@ -98,13 +123,13 @@ func (t *TPM) QuoteSePCRBatch(reqs []BatchRequest, batchNonce []byte, sessionID 
 	if sessionID != 0 {
 		var ok bool
 		if key, ok = t.sessions[sessionID]; !ok {
-			return nil, fmt.Errorf("%w: %d", ErrUnknownSession, sessionID)
+			return nil, nil, fmt.Errorf("%w: %d", ErrUnknownSession, sessionID)
 		}
 	}
-	// The injection point sits before the signature: an injected failure
-	// leaves every register in Quote, the whole batch retryable.
+	// An injected failure leaves every register in Quote, the whole batch
+	// retryable.
 	if err := t.inject("TPM_Quote"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sp := t.cmdSpan("TPM_Quote").Attr("mode", "sepcr-batch").AttrInt("batch", len(reqs))
 
@@ -122,27 +147,19 @@ func (t *TPM) QuoteSePCRBatch(reqs []BatchRequest, batchNonce []byte, sessionID 
 	}
 	root := merkle.Root(leaves)
 	signed := evidence.BatchSignedDigest(root, len(reqs), batchNonce)
-	sig, err := memoSignPKCS1v15(t.aik, signed)
-	if err != nil {
-		err = fmt.Errorf("tpm: batch quote signature: %w", err)
-		t.endCmd(sp, err)
-		return nil, err
-	}
 	for i := range entries {
 		entries[i].Proof = merkle.InclusionProof(leaves, i)
 	}
-	q := &BatchQuote{
-		Root:      root,
-		Count:     len(reqs),
-		Nonce:     append([]byte(nil), batchNonce...),
-		Signature: sig,
-		Entries:   entries,
+	q = &BatchQuote{
+		Root:    root,
+		Count:   len(reqs),
+		Nonce:   append([]byte(nil), batchNonce...),
+		Entries: entries,
 	}
 	if sessionID != 0 {
 		q.SessionID = sessionID
 		q.SessionMAC = evidence.SessionMAC(key, signed)
 	}
-	// Only now, with the attestation in hand, consume the registers.
 	for i, r := range reqs {
 		p := &t.sePCRs[r.Handle]
 		p.state = SePCRFree
@@ -155,12 +172,21 @@ func (t *TPM) QuoteSePCRBatch(reqs []BatchRequest, batchNonce []byte, sessionID 
 	// batch, not one register, and the width is what auditors grep for.
 	t.auditEvent("quote_batch", len(reqs), Digest(sha1.Sum(root[:])))
 	// The RSA signature is paid once; each extra leaf costs one extend-
-	// class hash operation. This is the amortization the batch buys.
-	t.busCommand(40+len(batchNonce)+20*len(reqs), len(sig)+40+28*len(reqs))
+	// class hash operation. This is the amortization the batch buys. A
+	// PKCS#1 v1.5 signature is as long as the AIK's modulus.
+	t.busCommand(40+len(batchNonce)+20*len(reqs), t.aik.Size()+40+28*len(reqs))
 	t.charge(t.profile.QuoteLatency, t.profile.Jitter)
 	for i := 1; i < len(reqs); i++ {
 		t.charge(t.profile.ExtendLatency, 0)
 	}
 	t.endCmd(sp, nil)
-	return q, nil
+	aik := t.aik
+	return q, func() error {
+		sig, err := memoSignPKCS1v15(aik, signed)
+		if err != nil {
+			return fmt.Errorf("tpm: batch quote signature: %w", err)
+		}
+		q.Signature = sig
+		return nil
+	}, nil
 }

@@ -2,14 +2,18 @@ package tpm
 
 import (
 	"bytes"
+	"crypto/rsa"
 	"errors"
 	"fmt"
+	"math/big"
+	"reflect"
 	"testing"
 	"time"
 
 	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/merkle"
+	"minimaltcb/internal/sim"
 )
 
 // quoteReady allocates, extends and releases n registers so each sits in
@@ -277,5 +281,93 @@ func TestQuoteBatchAmortizedCharge(t *testing.T) {
 	if elapsed < want || elapsed >= want+profile.QuoteLatency {
 		t.Fatalf("batch of 4 charged %v, want ~%v (4 plain quotes would be %v)",
 			elapsed, want, 4*profile.QuoteLatency)
+	}
+}
+
+// TestQuoteBatchTwoStepMatchesOneCall pins that the two-step form is the
+// one-call form split at the signature: for one seed and one request
+// list, both give the same quote, byte for byte, and leave the virtual
+// clock at the same reading.
+func TestQuoteBatchTwoStepMatchesOneCall(t *testing.T) {
+	_, profile := newClockProfile()
+	profile.Jitter = 2 * time.Millisecond
+	quote := func(twoStep bool) (*BatchQuote, time.Duration) {
+		clock := sim.NewClock()
+		chip, err := New(clock, lpc.NewBus(clock, lpc.FullSpeed()),
+			Config{Seed: 7, KeyBits: 1024, Profile: profile, NumSePCRs: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := chip.OpenQuoteSession([]byte("session-nonce"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := quoteReady(t, chip, 5)
+		if !twoStep {
+			q, err := chip.QuoteSePCRBatch(reqs, []byte("batch-nonce"), sess.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q, clock.Now()
+		}
+		q, sign, err := chip.QuoteSePCRBatchUnsigned(reqs, []byte("batch-nonce"), sess.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Signature != nil {
+			t.Fatal("command returned a signed quote before its signing step")
+		}
+		now := clock.Now()
+		if err := sign(); err != nil {
+			t.Fatal(err)
+		}
+		if clock.Now() != now {
+			t.Fatalf("signing step moved the virtual clock %v -> %v", now, clock.Now())
+		}
+		return q, now
+	}
+	one, oneNow := quote(false)
+	two, twoNow := quote(true)
+	if !reflect.DeepEqual(one, two) {
+		t.Fatalf("two-step quote differs from the one-call quote:\n%+v\n%+v", two, one)
+	}
+	if len(two.Signature) == 0 || len(two.SessionMAC) == 0 || len(two.Entries[1].Proof) == 0 {
+		t.Fatal("quote lacks its signature, session MAC or proofs")
+	}
+	if oneNow != twoNow {
+		t.Fatalf("virtual clock %v after the two-step form, %v after the one-call form", twoNow, oneNow)
+	}
+}
+
+// TestQuoteBatchSignFailureAfterCommand pins the signing step's failure
+// contract: its error comes after the command consumed the registers, so
+// they are Free, the quote stays unsigned, and the one-call form reports
+// the error. A validated AIK never fails to sign; a key too short for a
+// PKCS#1 v1.5 SHA-1 signature stands in for one that does.
+func TestQuoteBatchSignFailureAfterCommand(t *testing.T) {
+	chip := sePCRTPM(t, 8)
+	chip.aik = &rsa.PrivateKey{
+		PublicKey: rsa.PublicKey{N: big.NewInt(3233), E: 17},
+		D:         big.NewInt(2753),
+		Primes:    []*big.Int{big.NewInt(61), big.NewInt(53)},
+	}
+	reqs := quoteReady(t, chip, 3)
+	q, sign, err := chip.QuoteSePCRBatchUnsigned(reqs, []byte("bn"), 0)
+	if err != nil {
+		t.Fatalf("command failed: %v", err)
+	}
+	if err := sign(); err == nil {
+		t.Fatal("signing with a broken AIK succeeded")
+	}
+	if q.Signature != nil {
+		t.Fatal("failed signing step left a signature")
+	}
+	for _, r := range reqs {
+		if st, _ := chip.SePCRStateOf(r.Handle); st != SePCRFree {
+			t.Fatalf("sePCR %d = %v after the command, want Free", r.Handle, st)
+		}
+	}
+	if _, err := chip.QuoteSePCRBatch(quoteReady(t, chip, 1), []byte("bn"), 0); err == nil {
+		t.Fatal("one-call form hid the signing error")
 	}
 }

@@ -4,13 +4,17 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"minimaltcb/internal/attest"
+	"minimaltcb/internal/audit"
 	"minimaltcb/internal/chipset"
 	"minimaltcb/internal/core"
+	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/mem"
+	"minimaltcb/internal/merkle"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sksm"
 	"minimaltcb/internal/tpm"
@@ -222,6 +226,97 @@ msg:	.ascii "EVIL"
 		case tc.rewrite != nil && verr == nil:
 			t.Fatalf("%s: the attacker's run verified as the approved PAL", tc.name)
 		}
+	}
+}
+
+// Capability: the OS holds the batch quote between the TPM's command and
+// its signing step (palsvc signs after dropping the machine lock). The
+// signing step signs the digest the TPM computed, never one the OS
+// supplies: a root the OS rewrites in between, here to a tree over a
+// composite it chose, gets a signature over the TPM's own root, and the
+// verifier rejects the quote. The two steps give the OS no AIK signing
+// oracle.
+func TestQuoteRewrittenBeforeSigning(t *testing.T) {
+	sys, err := core.NewSystem(fast(platform.Recommended(platform.HPdc5750(), 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := core.CompilePAL("approved", "ldi r0, 0\nsvc 0")
+	for _, rewrite := range []bool{false, true} {
+		secb, err := sys.SKSM.NewSECB(p.Image, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SKSM.RunToCompletion(sys.PALCore(), secb); err != nil {
+			t.Fatal(err)
+		}
+		nonce := []byte("tm nonce honest signing")
+		if rewrite {
+			nonce = []byte("tm nonce rewritten root")
+		}
+		q, sign, err := sys.SKSM.QuoteBatchAfterExitUnsigned([]*sksm.SECB{secb}, [][]byte{nonce}, nonce, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SKSM.Release(secb); err != nil {
+			t.Fatal(err)
+		}
+		if rewrite {
+			e := &q.Entries[0]
+			e.Composite = evidence.Measure([]byte("a composite the OS chose"))
+			q.Root = merkle.Root([]merkle.Hash{evidence.BatchLeaf(e.Handle, e.Composite, e.Nonce)})
+		}
+		if err := sign(); err != nil {
+			t.Fatal(err)
+		}
+		_, aerr := sys.Verifier.AuthenticateBatch(sys.Cert, q)
+		switch {
+		case !rewrite && aerr != nil:
+			t.Fatalf("honest two-step quote rejected: %v", aerr)
+		case rewrite && aerr == nil:
+			t.Fatal("a root rewritten before the signing step was signed and accepted")
+		}
+	}
+}
+
+// Capability: the OS can issue every command the TPM exposes, the audit
+// log's head signing included. Audit tree heads are signed with the quote
+// AIK, so that command must sign audit heads only: a "head" that is a
+// batch quote's signed message would give the OS an AIK signature over a
+// Merkle root of its choosing, and with it an attestation that the
+// approved PAL ran when nothing ran at all.
+func TestAuditHeadSigningIsNoQuoteOracle(t *testing.T) {
+	sys, err := core.NewSystem(fast(platform.Recommended(platform.HPdc5750(), 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := core.CompilePAL("approved", "ldi r0, 0\nsvc 0")
+	sys.Verifier.Approve(p.Name, p.Measurement())
+	log := attest.Log{{PCR: -1, Description: p.Name, Measurement: p.Measurement()}}
+	jobNonce, batchNonce := []byte("tm nonce forged job"), []byte("tm nonce forged batch")
+	e := evidence.BatchEntry{Composite: evidence.ExtendDigest(evidence.Digest{}, p.Measurement()), Nonce: jobNonce}
+	root := merkle.Root([]merkle.Hash{evidence.BatchLeaf(e.Handle, e.Composite, e.Nonce)})
+	msg := append([]byte("QBAT"), root[:]...)
+	msg = binary.BigEndian.AppendUint32(msg, 1)
+	msg = append(msg, batchNonce...)
+	chip := sys.Machine.TPM()
+	sig, err := chip.SignAuditHead(msg)
+	if err == nil {
+		q := &tpm.BatchQuote{Root: root, Count: 1, Nonce: batchNonce, Signature: sig, Entries: []evidence.BatchEntry{e}}
+		if name, verr := sys.Verifier.VerifyBatchedQuote(sys.Cert, q, 0, log, jobNonce); verr == nil {
+			t.Fatalf("a batch quote signed as an audit head verified as %q with no PAL run", name)
+		}
+	}
+	if !errors.Is(err, tpm.ErrNotAuditHead) {
+		t.Fatalf("signing a batch quote's message as an audit head: err = %v, want ErrNotAuditHead", err)
+	}
+	// A genuine head is still signed, and verifies.
+	head := audit.TreeHead{Size: 1, Root: root, Node: "tm"}
+	if head.Sig, err = chip.SignAuditHead(head.SigningMessage()); err != nil {
+		t.Fatal(err)
+	}
+	if err := head.VerifySignature(chip.AIKPublic()); err != nil {
+		t.Fatal(err)
 	}
 }
 
