@@ -86,17 +86,19 @@ soak-short:
 		CHAOS_SOAK_SEED=$(CHAOS_SOAK_SEED) \
 		$(GO) test -count 1 -run TestSoakZeroLossUnderChaos ./internal/palsvc
 
-# fuzz-short runs, for 10 s each, the fuzzers of the two decoders that take
-# bytes from the network: palsvc's run frames and attest's batch quotes.
-# `make test` runs only their seed corpora. The fuzzer writes a crashing
-# input under the package's testdata/fuzz/; commit it with the fix, and
-# every later `make test` replays it as a seed. Minimizing each new
-# interesting input is capped at 100 runs: uncapped, FuzzRunFrame spent
-# most of its 10 s minimizing a few-hundred-byte input and ran ~10,000
-# inputs instead of ~66,000.
+# fuzz-short runs three fuzzers for 10 s each: those of the two decoders
+# that take bytes from the network, palsvc's run frames and attest's batch
+# quotes, and mem's FuzzPageTable, which drives the §5.2 page table in
+# lockstep with a dense reference model. `make test` runs only their seed
+# corpora. The fuzzer writes a crashing input under the package's
+# testdata/fuzz/; commit it with the fix, and every later `make test`
+# replays it as a seed. Minimizing each new interesting input is capped at
+# 100 runs: uncapped, FuzzRunFrame spent most of its 10 s minimizing a
+# few-hundred-byte input and ran ~10,000 inputs instead of ~66,000.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunFrame$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/palsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyBatchedQuote$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attest
+	$(GO) test -run '^$$' -fuzz '^FuzzPageTable$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/mem
 
 # cluster-soak is the fleet-level acceptance run (see docs/CLUSTER.md): a
 # palrouter-shaped Router over three chaos-injected backends under

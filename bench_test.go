@@ -12,6 +12,7 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +109,40 @@ func BenchmarkImpact_ContextSwitch(b *testing.B) {
 	}
 	b.ReportMetric(r.OrdersOfMagnitude, "orders_of_magnitude")
 	b.ReportMetric(msMetric(r.LegacyRoundTrip), "vms_legacy_switch")
+}
+
+// BenchmarkVerifyAll_Quick times one warm VerifyAll(Quick()) — every table
+// and figure with their paper checks, the op tcbbench's paper-regen
+// workload loops on — cycling through four seeds whose keys, lab machines
+// and memos are built before the timer starts. It reports the Figure 2 PAL
+// Use total averaged over the four seeds.
+func BenchmarkVerifyAll_Quick(b *testing.B) {
+	seeds := []uint64{42, 43, 44, 45}
+	cfgAt := func(i int) experiments.Config {
+		cfg := experiments.Quick()
+		cfg.Seed = seeds[i%len(seeds)]
+		return cfg
+	}
+	var paluse float64
+	for i := range seeds {
+		checks, err := experiments.VerifyAll(cfgAt(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range checks {
+			if c.Artefact == "Figure 2" && strings.HasPrefix(c.Metric, "PAL Use total") {
+				paluse += c.Measured / float64(len(seeds))
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.VerifyAll(cfgAt(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(paluse, "vms_paluse")
 }
 
 // BenchmarkConcurrency_LegacyShare regenerates the concurrency sweep at

@@ -13,12 +13,15 @@
 // errors that the chipset surfaces as SLAUNCH failure codes, exactly as
 // §5.6 prescribes.
 //
-// Physical memory is backed sparsely: the byte array is split into 64 KB
-// chunks that materialize on first write, and reads of untouched chunks are
-// served from a shared all-zero chunk. A simulated machine therefore costs
-// a few hundred KB of page metadata rather than its full physical memory
-// size, which is what makes fresh-machine-per-trial experiment sweeps cheap
-// (see docs/PERFORMANCE.md).
+// Physical memory and its table are both backed sparsely, in 64 KB chunks.
+// A chunk holds the control state of its 16 pages and, once written, its
+// bytes. A chunk never touched reads as all zeros with every page in ALL;
+// its control state materializes on the first transition or write, and
+// its bytes only on the first write. A simulated machine therefore costs
+// an 8 KB chunk-pointer slice (for 64 MB), about 400 B per touched chunk
+// and 64 KB per written chunk, rather than its physical memory size or a
+// dense page table, which is what makes fresh-machine-per-trial experiment
+// sweeps cheap (see docs/PERFORMANCE.md).
 //
 // Every page additionally carries a version counter, bumped on any write,
 // zeroing, or access-control transition touching the page. The CPU's
@@ -42,6 +45,10 @@ const chunkShift = 16
 
 // ChunkSize is the sparse-backing chunk size in bytes.
 const ChunkSize = 1 << chunkShift
+
+// chunkPages is the number of pages per chunk: page p's control state
+// lives in chunk p/chunkPages.
+const chunkPages = ChunkSize / PageSize
 
 // zeroChunk backs reads of never-written chunks. Read-only by contract:
 // View may hand out subslices of it.
@@ -85,8 +92,7 @@ var ErrOutOfRange = errors.New("mem: address out of range")
 // ErrDenied is returned when the access-control table forbids a request.
 var ErrDenied = errors.New("mem: access denied by access-control table")
 
-// pageMeta is the per-page control state, packed into one table so a
-// machine costs a single allocation for all page bookkeeping.
+// pageMeta is the per-page control state.
 type pageMeta struct {
 	// state is the access-control entry (Figure 5(b)).
 	state PageState
@@ -102,59 +108,110 @@ type pageMeta struct {
 	dev bool
 }
 
+// chunk is one ChunkSize piece of physical memory: the control state of
+// its pages and, once written, its bytes.
+type chunk struct {
+	pages [chunkPages]pageMeta
+	data  []byte // nil until the chunk is first written: all zeros
+}
+
+func newChunk() *chunk {
+	c := new(chunk)
+	for i := range c.pages {
+		c.pages[i].state = AccessAll
+	}
+	return c
+}
+
+// untouched stands in for every chunk never written or transitioned: all
+// zeros, and every page ALL at version 0 with no shares and DEV clear.
+// Only read hands it out; it is never written.
+var untouched = newChunk()
+
 // Memory is flat physical memory plus its access-control table and the
 // legacy DEV bit vector used by SKINIT to protect the SLB from DMA.
 type Memory struct {
 	size   int
-	chunks [][]byte // nil entry = chunk never written (all zeros)
-	pages  []pageMeta
+	pages  int
+	chunks []*chunk // nil entry = chunk never touched (see untouched)
 }
 
 // New allocates physical memory of the given size, rounded up to a whole
-// number of pages, with every page in the ALL state. Backing chunks
-// materialize on first write.
+// number of pages, with every page in the ALL state. Chunks materialize
+// on first touch.
 func New(size int) *Memory {
 	pages := (size + PageSize - 1) / PageSize
 	if pages < 1 {
 		pages = 1
 	}
 	size = pages * PageSize
-	m := &Memory{
+	return &Memory{
 		size:   size,
-		chunks: make([][]byte, (size+ChunkSize-1)/ChunkSize),
-		pages:  make([]pageMeta, pages),
+		pages:  pages,
+		chunks: make([]*chunk, (size+ChunkSize-1)/ChunkSize),
 	}
-	for i := range m.pages {
-		m.pages[i].state = AccessAll
-	}
-	return m
 }
+
+// read returns chunk ci for reading: untouched if it was never touched.
+// Every read of the table or the bytes goes through it, and no caller
+// writes through the result.
+func (m *Memory) read(ci int) *chunk {
+	if c := m.chunks[ci]; c != nil {
+		return c
+	}
+	return untouched
+}
+
+// touch returns chunk ci for mutation, materializing its control state,
+// but not its bytes, on first use. Every mutation goes through it.
+func (m *Memory) touch(ci int) *chunk {
+	c := m.chunks[ci]
+	if c == nil {
+		c = newChunk()
+		m.chunks[ci] = c
+	}
+	return c
+}
+
+// meta returns the control state of an in-range page for reading; like
+// read's result, nothing writes through it.
+func (m *Memory) meta(page int) *pageMeta {
+	return &m.read(int(uint(page) / chunkPages)).pages[uint(page)%chunkPages]
+}
+
+// metaMut returns the control state of an in-range page for mutation.
+func (m *Memory) metaMut(page int) *pageMeta {
+	return &m.touch(int(uint(page) / chunkPages)).pages[uint(page)%chunkPages]
+}
+
+// inRange reports whether page is a page of this memory.
+func (m *Memory) inRange(page int) bool { return page >= 0 && page < m.pages }
 
 // Size returns the physical memory size in bytes.
 func (m *Memory) Size() int { return m.size }
 
 // NumPages returns the number of physical pages.
-func (m *Memory) NumPages() int { return len(m.pages) }
+func (m *Memory) NumPages() int { return m.pages }
 
 // PageOf returns the page number containing byte address addr.
 func PageOf(addr uint32) int { return int(addr) / PageSize }
 
 // State returns the access-control entry for a page.
 func (m *Memory) State(page int) (PageState, error) {
-	if page < 0 || page >= len(m.pages) {
+	if !m.inRange(page) {
 		return 0, fmt.Errorf("%w: page %d", ErrOutOfRange, page)
 	}
-	return m.pages[page].state, nil
+	return m.meta(page).state, nil
 }
 
 // PageVersion returns the page's version counter: it changes whenever the
 // page's content or access-control state may have changed. Out-of-range
 // pages report 0.
 func (m *Memory) PageVersion(page int) uint32 {
-	if page < 0 || page >= len(m.pages) {
+	if !m.inRange(page) {
 		return 0
 	}
-	return m.pages[page].ver
+	return m.meta(page).ver
 }
 
 // bumpRange advances the version of every page overlapping [addr, addr+n).
@@ -165,7 +222,7 @@ func (m *Memory) bumpRange(addr uint32, n int) {
 	first := int(addr) / PageSize
 	last := (int(addr) + n - 1) / PageSize
 	for p := first; p <= last; p++ {
-		m.pages[p].ver++
+		m.metaMut(p).ver++
 	}
 }
 
@@ -183,8 +240,9 @@ func (m *Memory) Claim(page, cpu int) error {
 	}
 	switch {
 	case st == AccessAll, st == AccessNone, st == PageState(cpu):
-		m.pages[page].state = PageState(cpu)
-		m.pages[page].ver++
+		pm := m.metaMut(page)
+		pm.state = PageState(cpu)
+		pm.ver++
 		return nil
 	default:
 		return fmt.Errorf("%w: page %d is %v, CPU%d cannot claim", ErrPageBusy, page, st, cpu)
@@ -202,9 +260,10 @@ func (m *Memory) Seclude(page, cpu int) error {
 	if st != PageState(cpu) {
 		return fmt.Errorf("%w: page %d is %v, CPU%d cannot seclude", ErrPageBusy, page, st, cpu)
 	}
-	m.pages[page].state = AccessNone
-	m.pages[page].shares = 0
-	m.pages[page].ver++
+	pm := m.metaMut(page)
+	pm.state = AccessNone
+	pm.shares = 0
+	pm.ver++
 	return nil
 }
 
@@ -217,9 +276,10 @@ func (m *Memory) Release(page, cpu int) error {
 	}
 	switch {
 	case st == PageState(cpu), st == AccessNone, st == AccessAll:
-		m.pages[page].state = AccessAll
-		m.pages[page].shares = 0
-		m.pages[page].ver++
+		pm := m.metaMut(page)
+		pm.state = AccessAll
+		pm.shares = 0
+		pm.ver++
 		return nil
 	default:
 		return fmt.Errorf("%w: page %d is %v, CPU%d cannot release", ErrPageBusy, page, st, cpu)
@@ -240,37 +300,39 @@ func (m *Memory) Share(page, owner, joiner int) error {
 	if joiner < 0 || joiner >= 64 {
 		return fmt.Errorf("mem: invalid joiner CPU id %d", joiner)
 	}
-	m.pages[page].shares |= 1 << uint(joiner)
-	m.pages[page].ver++
+	pm := m.metaMut(page)
+	pm.shares |= 1 << uint(joiner)
+	pm.ver++
 	return nil
 }
 
 // Unshare revokes a joiner's access to a CPU-owned page.
 func (m *Memory) Unshare(page, joiner int) error {
-	if page < 0 || page >= len(m.pages) {
+	if !m.inRange(page) {
 		return fmt.Errorf("%w: page %d", ErrOutOfRange, page)
 	}
 	if joiner >= 0 && joiner < 64 {
-		m.pages[page].shares &^= 1 << uint(joiner)
-		m.pages[page].ver++
+		pm := m.metaMut(page)
+		pm.shares &^= 1 << uint(joiner)
+		pm.ver++
 	}
 	return nil
 }
 
 // SharedWith reports whether cpu has joined access to the page.
 func (m *Memory) SharedWith(page, cpu int) bool {
-	if page < 0 || page >= len(m.pages) || cpu < 0 || cpu >= 64 {
+	if !m.inRange(page) || cpu < 0 || cpu >= 64 {
 		return false
 	}
-	return m.pages[page].shares&(1<<uint(cpu)) != 0
+	return m.meta(page).shares&(1<<uint(cpu)) != 0
 }
 
 // CheckCPU reports whether cpu may access the page under the current table.
 func (m *Memory) CheckCPU(page, cpu int) error {
-	if page < 0 || page >= len(m.pages) {
+	if !m.inRange(page) {
 		return fmt.Errorf("%w: page %d", ErrOutOfRange, page)
 	}
-	st := m.pages[page].state
+	st := m.meta(page).state
 	if st == AccessAll || st == PageState(cpu) {
 		return nil
 	}
@@ -290,7 +352,7 @@ func (m *Memory) CheckDMA(page int) error {
 	if st != AccessAll {
 		return fmt.Errorf("%w: DMA -> page %d (%v)", ErrDenied, page, st)
 	}
-	if m.pages[page].dev {
+	if m.meta(page).dev {
 		return fmt.Errorf("%w: DMA -> page %d (DEV bit set)", ErrDenied, page)
 	}
 	return nil
@@ -299,19 +361,19 @@ func (m *Memory) CheckDMA(page int) error {
 // SetDEV sets or clears the DEV bit for a page. SKINIT sets the bits for
 // the SLB's pages before measurement begins.
 func (m *Memory) SetDEV(page int, protected bool) error {
-	if page < 0 || page >= len(m.pages) {
+	if !m.inRange(page) {
 		return fmt.Errorf("%w: page %d", ErrOutOfRange, page)
 	}
-	m.pages[page].dev = protected
+	m.metaMut(page).dev = protected
 	return nil
 }
 
 // DEV reports the DEV bit for a page.
 func (m *Memory) DEV(page int) (bool, error) {
-	if page < 0 || page >= len(m.pages) {
+	if !m.inRange(page) {
 		return false, fmt.Errorf("%w: page %d", ErrOutOfRange, page)
 	}
-	return m.pages[page].dev, nil
+	return m.meta(page).dev, nil
 }
 
 // checkRange validates [addr, addr+n).
@@ -322,15 +384,14 @@ func (m *Memory) checkRange(addr uint32, n int) error {
 	return nil
 }
 
-// chunkFor materializes and returns the chunk containing addr.
-func (m *Memory) chunkFor(addr uint32) []byte {
-	ci := int(addr >> chunkShift)
-	c := m.chunks[ci]
-	if c == nil {
-		c = make([]byte, ChunkSize)
-		m.chunks[ci] = c
+// dataFor returns the bytes of the chunk containing addr for writing,
+// materializing them on first use.
+func (m *Memory) dataFor(addr uint32) []byte {
+	c := m.touch(int(addr >> chunkShift))
+	if c.data == nil {
+		c.data = make([]byte, ChunkSize)
 	}
-	return c
+	return c.data
 }
 
 // ReadInto fills dst with the bytes at addr without access checks and
@@ -347,7 +408,7 @@ func (m *Memory) ReadInto(dst []byte, addr uint32) error {
 		if n > len(dst) {
 			n = len(dst)
 		}
-		if c := m.chunks[addr>>chunkShift]; c != nil {
+		if c := m.read(int(addr >> chunkShift)).data; c != nil {
 			copy(dst[:n], c[off:])
 		} else {
 			clear(dst[:n])
@@ -365,16 +426,15 @@ func (m *Memory) ReadInto(dst []byte, addr uint32) error {
 // view a shared zero chunk. Callers must not write through or retain the
 // view across writes: it aliases live memory.
 func (m *Memory) View(addr uint32, n int) (b []byte, ok bool) {
-	if n < 0 || int(addr)+n > m.size {
-		return nil, false
-	}
+	// uint(n) also rejects n < 0, and max(n, 1) an empty view at Size(),
+	// which lies in no chunk.
 	off := int(addr) & (ChunkSize - 1)
-	if off+n > ChunkSize {
+	if uint(n) > uint(ChunkSize-off) || int(addr)+max(n, 1) > m.size {
 		return nil, false
 	}
-	c := m.chunks[addr>>chunkShift]
+	c := m.read(int(addr >> chunkShift)).data
 	if c == nil {
-		return zeroChunk[off : off+n : off+n], true
+		c = zeroChunk[:]
 	}
 	return c[off : off+n : off+n], true
 }
@@ -403,7 +463,7 @@ func (m *Memory) WriteRaw(addr uint32, b []byte) error {
 		if n > len(b) {
 			n = len(b)
 		}
-		copy(m.chunkFor(addr)[off:], b[:n])
+		copy(m.dataFor(addr)[off:], b[:n])
 		b = b[n:]
 		addr += uint32(n)
 	}
@@ -432,7 +492,7 @@ func (m *Memory) WriteWordRaw(addr uint32, v uint32) error {
 	m.bumpRange(addr, 4)
 	off := int(addr) & (ChunkSize - 1)
 	if off+4 <= ChunkSize {
-		c := m.chunkFor(addr)
+		c := m.dataFor(addr)
 		c[off] = byte(v)
 		c[off+1] = byte(v >> 8)
 		c[off+2] = byte(v >> 16)
@@ -441,7 +501,7 @@ func (m *Memory) WriteWordRaw(addr uint32, v uint32) error {
 	}
 	for i := 0; i < 4; i++ {
 		a := addr + uint32(i)
-		m.chunkFor(a)[int(a)&(ChunkSize-1)] = byte(v >> (8 * i))
+		m.dataFor(a)[int(a)&(ChunkSize-1)] = byte(v >> (8 * i))
 	}
 	return nil
 }
@@ -451,7 +511,7 @@ func (m *Memory) ReadByteRaw(addr uint32) (byte, error) {
 	if err := m.checkRange(addr, 1); err != nil {
 		return 0, err
 	}
-	c := m.chunks[addr>>chunkShift]
+	c := m.read(int(addr >> chunkShift)).data
 	if c == nil {
 		return 0, nil
 	}
@@ -463,8 +523,8 @@ func (m *Memory) WriteByteRaw(addr uint32, v byte) error {
 	if err := m.checkRange(addr, 1); err != nil {
 		return err
 	}
-	m.pages[int(addr)/PageSize].ver++
-	m.chunkFor(addr)[int(addr)&(ChunkSize-1)] = v
+	m.metaMut(int(addr)/PageSize).ver++
+	m.dataFor(addr)[int(addr)&(ChunkSize-1)] = v
 	return nil
 }
 
@@ -482,7 +542,7 @@ func (m *Memory) ZeroRange(addr uint32, n int) error {
 		if step > n {
 			step = n
 		}
-		if c := m.chunks[addr>>chunkShift]; c != nil {
+		if c := m.read(int(addr >> chunkShift)).data; c != nil {
 			clear(c[off : off+step])
 		}
 		n -= step

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -177,6 +178,67 @@ func TestReadRawBounds(t *testing.T) {
 	}
 	if _, err := m.ReadRaw(0, -1); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("negative length: %v", err)
+	}
+}
+
+// TestViewAtEnd: a zero-length view at the end of memory is out of range,
+// not an index one chunk past the last.
+func TestViewAtEnd(t *testing.T) {
+	m := New(1 << 20)
+	if b, ok := m.View(uint32(m.Size()), 0); ok || b != nil {
+		t.Fatalf("View(Size(), 0) = %v, %v; want nil, false", b, ok)
+	}
+	if b, ok := m.View(uint32(m.Size()-4), 4); !ok || len(b) != 4 {
+		t.Fatalf("View of the last word = %v, %v", b, ok)
+	}
+}
+
+// allocated returns the fewest bytes f allocated over five runs, each on
+// state setup returns; other goroutines' allocations only add to a run.
+func allocated(setup func() *Memory, f func(m *Memory)) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		m := setup()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f(m)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestNewMemoryIsSparse pins what a machine's memory costs: an empty 64 MB
+// memory is a chunk-pointer slice, a transition materializes one chunk's
+// control state but none of its bytes, and a write materializes exactly
+// one chunk of bytes.
+func TestNewMemoryIsSparse(t *testing.T) {
+	const size = 64 << 20
+	nothing := func() *Memory { return nil }
+	if got := allocated(nothing, func(*Memory) { New(size) }); got > 16<<10 {
+		t.Errorf("New(64 MB) allocated %d B, want at most 16 KB", got)
+	}
+	fresh := func() *Memory { return New(size) }
+	claim := func(m *Memory) {
+		if err := m.Claim(5*ChunkSize/PageSize+3, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := allocated(fresh, claim); got == 0 || got >= 4<<10 {
+		t.Errorf("a Claim on an untouched chunk allocated %d B, want its control state only", got)
+	}
+	claimed := func() *Memory { m := New(size); claim(m); return m }
+	write := func(m *Memory) {
+		if err := m.WriteByteRaw(5*ChunkSize+7, 0xa5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := allocated(claimed, write); got != ChunkSize {
+		t.Errorf("the first write to a claimed chunk allocated %d B, want one %d B chunk", got, ChunkSize)
+	}
+	written := func() *Memory { m := claimed(); write(m); return m }
+	if got := allocated(written, write); got != 0 {
+		t.Errorf("a second write to the chunk allocated %d B", got)
 	}
 }
 

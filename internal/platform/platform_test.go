@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"runtime"
 	"testing"
 
 	"minimaltcb/internal/cpu"
@@ -29,6 +30,30 @@ func TestAllMeasuredProfilesBuild(t *testing.T) {
 			}
 		} else if m.ACMod != nil {
 			t.Fatalf("%s: AMD machine with ACMod", p.Name)
+		}
+	}
+}
+
+// TestNewMachineCost pins what a machine costs to build once its keys are
+// cached: memory holds no dense page table, so each of the two profiles
+// the experiments build most allocates under 32 KB.
+func TestNewMachineCost(t *testing.T) {
+	for _, p := range []Profile{fast(HPdc5750()), fast(IntelTEP())} {
+		if _, err := New(p); err != nil { // generates and caches the keys
+			t.Fatal(err)
+		}
+		least := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := New(p); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= 32<<10 {
+			t.Errorf("%s: New allocated %d B, want under 32 KB", p.Name, least)
 		}
 	}
 }

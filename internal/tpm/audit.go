@@ -64,5 +64,5 @@ func (t *TPM) SignAuditHead(msg []byte) ([]byte, error) {
 	if !bytes.HasPrefix(msg, []byte(evidence.AuditHeadDomain)) {
 		return nil, ErrNotAuditHead
 	}
-	return memoSignPKCS1v15(t.aik, evidence.Measure(msg))
+	return memoSignPKCS1v15(t.aik, t.aikFP, evidence.Measure(msg))
 }

@@ -44,7 +44,7 @@ func (t *TPM) OpenQuoteSession(nonce []byte) (*QuoteSession, error) {
 	id := t.sessionSeq
 	var key Digest
 	t.rng.Fill(key[:])
-	sig, err := memoSignPKCS1v15(t.aik, evidence.SessionGrantDigest(id, key, nonce))
+	sig, err := memoSignPKCS1v15(t.aik, t.aikFP, evidence.SessionGrantDigest(id, key, nonce))
 	if err != nil {
 		t.endCmd(sp, err)
 		return nil, fmt.Errorf("tpm: session grant signature: %w", err)
@@ -180,9 +180,9 @@ func (t *TPM) QuoteSePCRBatchUnsigned(reqs []BatchRequest, batchNonce []byte, se
 		t.charge(t.profile.ExtendLatency, 0)
 	}
 	t.endCmd(sp, nil)
-	aik := t.aik
+	aik, aikFP := t.aik, t.aikFP
 	return q, func() error {
-		sig, err := memoSignPKCS1v15(aik, signed)
+		sig, err := memoSignPKCS1v15(aik, aikFP, signed)
 		if err != nil {
 			return fmt.Errorf("tpm: batch quote signature: %w", err)
 		}

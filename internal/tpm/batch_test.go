@@ -351,6 +351,7 @@ func TestQuoteBatchSignFailureAfterCommand(t *testing.T) {
 		D:         big.NewInt(2753),
 		Primes:    []*big.Int{big.NewInt(61), big.NewInt(53)},
 	}
+	chip.aikFP = keyFingerprint(&chip.aik.PublicKey)
 	reqs := quoteReady(t, chip, 3)
 	q, sign, err := chip.QuoteSePCRBatchUnsigned(reqs, []byte("bn"), 0)
 	if err != nil {

@@ -112,7 +112,9 @@ type cryptoKey struct {
 
 // keyFingerprint condenses an RSA public key into a cache identity. Both
 // halves of a key pair share the fingerprint; the op code keeps private-
-// and public-key operations from colliding.
+// and public-key operations from colliding. A TPM's SRK and AIK never
+// change, so New computes their fingerprints once and every memoized
+// operation takes the key's fingerprint alongside the key.
 func keyFingerprint(pub *rsa.PublicKey) Digest {
 	var ebuf [8]byte
 	binary.BigEndian.PutUint64(ebuf[:], uint64(pub.E))
@@ -184,9 +186,10 @@ func sumParts(parts ...[]byte) Digest {
 }
 
 // memoDecryptOAEP is rsa.DecryptOAEP with result caching. OAEP decryption
-// is a pure function of (key, ciphertext, label).
-func memoDecryptOAEP(priv *rsa.PrivateKey, ciphertext, label []byte) ([]byte, error) {
-	k := cryptoKey{op: opOAEPDecrypt, key: keyFingerprint(&priv.PublicKey), sum: sumParts(ciphertext, label)}
+// is a pure function of (key, ciphertext, label); fp is the key's
+// keyFingerprint.
+func memoDecryptOAEP(priv *rsa.PrivateKey, fp Digest, ciphertext, label []byte) ([]byte, error) {
+	k := cryptoKey{op: opOAEPDecrypt, key: fp, sum: sumParts(ciphertext, label)}
 	if v, ok := cryptoLookup(k); ok {
 		return v, nil
 	}
@@ -229,13 +232,13 @@ var _ io.Reader = (*detStream)(nil)
 // OAEP seed entropy is always drawn from rng first (one Digest worth), so
 // the RNG stream advances identically whether the result comes from the
 // cache or a live encryption, and the ciphertext is a pure function of
-// (key, seed, plaintext, label).
-func memoEncryptOAEP(rng io.Reader, pub *rsa.PublicKey, plaintext, label []byte) ([]byte, error) {
+// (key, seed, plaintext, label). fp is the key's keyFingerprint.
+func memoEncryptOAEP(rng io.Reader, pub *rsa.PublicKey, fp Digest, plaintext, label []byte) ([]byte, error) {
 	var seed Digest
 	if _, err := io.ReadFull(rng, seed[:]); err != nil {
 		return nil, err
 	}
-	k := cryptoKey{op: opOAEPEncrypt, key: keyFingerprint(pub), sum: sumParts(seed[:], plaintext, label)}
+	k := cryptoKey{op: opOAEPEncrypt, key: fp, sum: sumParts(seed[:], plaintext, label)}
 	if v, ok := cryptoLookup(k); ok {
 		return v, nil
 	}
@@ -248,9 +251,9 @@ func memoEncryptOAEP(rng io.Reader, pub *rsa.PublicKey, plaintext, label []byte)
 }
 
 // memoSignPKCS1v15 is rsa.SignPKCS1v15 with result caching; PKCS#1 v1.5
-// signatures are deterministic.
-func memoSignPKCS1v15(priv *rsa.PrivateKey, digest Digest) ([]byte, error) {
-	k := cryptoKey{op: opSign, key: keyFingerprint(&priv.PublicKey), sum: digest}
+// signatures are deterministic. fp is the key's keyFingerprint.
+func memoSignPKCS1v15(priv *rsa.PrivateKey, fp, digest Digest) ([]byte, error) {
+	k := cryptoKey{op: opSign, key: fp, sum: digest}
 	if v, ok := cryptoLookup(k); ok {
 		return v, nil
 	}

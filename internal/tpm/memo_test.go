@@ -118,7 +118,7 @@ func TestCryptoMemoNoCrossKeyAliasing(t *testing.T) {
 	}
 
 	digest := evidence.Measure([]byte("cross-key aliasing probe"))
-	sig1, err := memoSignPKCS1v15(k1, digest)
+	sig1, err := memoSignPKCS1v15(k1, keyFingerprint(&k1.PublicKey), digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCryptoMemoNoCrossKeyAliasing(t *testing.T) {
 	}
 	// With k1's entry warm, k2 signing the same digest must get its own
 	// signature, not k1's cached one.
-	sig2, err := memoSignPKCS1v15(k2, digest)
+	sig2, err := memoSignPKCS1v15(k2, keyFingerprint(&k2.PublicKey), digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCryptoMemoNoCrossKeyAliasing(t *testing.T) {
 	// And fingerprint identity is about public material, not object
 	// identity: a distinct copy of k1 must share its cache entries.
 	k1copy := *k1
-	sigCopy, err := memoSignPKCS1v15(&k1copy, digest)
+	sigCopy, err := memoSignPKCS1v15(&k1copy, keyFingerprint(&k1copy.PublicKey), digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestCacheStatsCounts(t *testing.T) {
 	digest := evidence.Measure([]byte("TestCacheStatsCounts digest"))
 	if got := delta(func() {
 		for i := 0; i < 2; i++ {
-			if _, err := memoSignPKCS1v15(key, digest); err != nil {
+			if _, err := memoSignPKCS1v15(key, keyFingerprint(&key.PublicKey), digest); err != nil {
 				t.Fatal(err)
 			}
 		}

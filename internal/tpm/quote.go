@@ -14,7 +14,7 @@ func (t *TPM) QuoteCommand(sel Selection, nonce []byte) (*Quote, error) {
 		return nil, err
 	}
 	sp := t.cmdSpan("TPM_Quote").Attr("mode", "pcr")
-	sig, err := memoSignPKCS1v15(t.aik, evidence.QuoteSignedDigest(composite, nonce))
+	sig, err := memoSignPKCS1v15(t.aik, t.aikFP, evidence.QuoteSignedDigest(composite, nonce))
 	if err != nil {
 		err = fmt.Errorf("tpm: quote signature: %w", err)
 		t.endCmd(sp, err)

@@ -131,7 +131,7 @@ func (t *TPM) sealBlob(mode byte, selBytes []byte, release Digest, data []byte) 
 	ct := gcm.Seal(nil, nonce, data, aad)
 	putScratch(aadBuf)
 
-	ekey, err := memoEncryptOAEP(t.rng, &t.srk.PublicKey, aesKey[:], sealLabel)
+	ekey, err := memoEncryptOAEP(t.rng, &t.srk.PublicKey, t.srkFP, aesKey[:], sealLabel)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +154,7 @@ func (t *TPM) sealBlob(mode byte, selBytes []byte, release Digest, data []byte) 
 // already validated the release policy; GCM authentication over the AAD
 // (the blob header) still protects integrity of the stored blob itself.
 func (t *TPM) openBlob(mode byte, selBytes []byte, release Digest, ekey, nonce, ct []byte) ([]byte, error) {
-	aesKey, err := memoDecryptOAEP(t.srk, ekey, sealLabel)
+	aesKey, err := memoDecryptOAEP(t.srk, t.srkFP, ekey, sealLabel)
 	if err != nil {
 		return nil, fmt.Errorf("%w: SRK decrypt failed: %v", ErrBadBlob, err)
 	}

@@ -81,7 +81,7 @@ func (t *TPM) QuoteSePCRSet(handles []int, nonce []byte) (*Quote, error) {
 	sel := make(Selection, len(handles))
 	copy(sel, handles)
 	composite := evidence.CompositeDigest(sel, vals)
-	sig, err := memoSignPKCS1v15(t.aik, evidence.QuoteSignedDigest(composite, nonce))
+	sig, err := memoSignPKCS1v15(t.aik, t.aikFP, evidence.QuoteSignedDigest(composite, nonce))
 	if err != nil {
 		return nil, fmt.Errorf("tpm: sePCR set quote signature: %w", err)
 	}

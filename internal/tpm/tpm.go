@@ -70,6 +70,9 @@ type TPM struct {
 
 	srk *rsa.PrivateKey // Storage Root Key (seals)
 	aik *rsa.PrivateKey // Attestation Identity Key (quotes)
+	// srkFP and aikFP are the keys' crypto-memo identities
+	// (keyFingerprint), computed once: the keys never change.
+	srkFP, aikFP Digest
 
 	hashing  bool
 	hashBuf  []byte
@@ -192,6 +195,8 @@ func New(clock *sim.Clock, bus *lpc.Bus, cfg Config) (*TPM, error) {
 		seed:    cfg.Seed,
 		srk:     srk,
 		aik:     aik,
+		srkFP:   keyFingerprint(&srk.PublicKey),
+		aikFP:   keyFingerprint(&aik.PublicKey),
 		sePCRs:  make([]sePCR, cfg.NumSePCRs),
 	}
 	t.Boot()
