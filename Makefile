@@ -1,13 +1,14 @@
 # Tier-1 verification lives here: `make check` is what CI and the roadmap
 # run. The race pass covers the packages with real concurrency — the PAL
 # service and the remote-attestation protocol — plus the memory and CPU
-# cores, whose decode caches are shared across goroutines, the TPM, whose
-# measurement cache and crypto memo are process-global and used by every
-# service worker, the profiler, whose aggregation root is shared across
-# machines, and the chaos injector, whose decision streams are drawn from
-# every worker at once. batch-stress repeats the quote batcher's tests
-# under the race detector at one, two and four CPUs, because how jobs
-# group into batches depends on scheduling.
+# cores, whose decode caches are shared across goroutines, and the
+# process-global caches: the TPM's measurement cache and crypto memo, used
+# by every service worker, and the experiments' lab machines, which
+# concurrent regenerations take in turn. It also covers the profiler, whose
+# aggregation root is shared across machines, and the chaos injector, whose
+# decision streams are drawn from every worker at once. batch-stress
+# repeats the quote batcher's tests under the race detector at one, two and
+# four CPUs, because how jobs group into batches depends on scheduling.
 
 GO ?= go
 
@@ -35,7 +36,7 @@ race:
 	$(GO) test -race ./internal/palsvc ./internal/cluster ./internal/attest \
 		./internal/obs ./internal/obs/prof ./internal/cpu ./internal/mem \
 		./internal/chaos ./internal/sksm ./internal/audit ./internal/tpm \
-		./cmd/palservd ./cmd/attestd
+		./internal/experiments ./cmd/palservd ./cmd/attestd
 
 # batch-stress runs the batcher's tests ten times each at -cpu 1, 2 and 4
 # under the race detector. The batcher flushes whatever jobs wait for it,

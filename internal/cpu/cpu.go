@@ -372,13 +372,18 @@ func (c *CPU) StoreByte(addr uint32, v byte) error {
 	return c.chip.CPUWriteByte(c.ID, phys, v)
 }
 
-// HashOnCPU computes SHA-1 over data on this core, charging the core's
-// hash rate — the operation Intel's ACMod performs on the PAL (§4.3.2).
-// The digest comes from the content-checked measurement cache; the charge
-// is the same on a hit.
-func (c *CPU) HashOnCPU(data []byte) tpm.Digest {
-	c.Clock().Advance(time.Duration(len(data)) * c.Params.HashPerKB / 1024)
-	return tpm.MeasureImage(data)
+// HashOnCPU computes SHA-1 over the concatenation of parts on this core,
+// charging the core's hash rate for their total length — the operation
+// Intel's ACMod performs on the PAL (§4.3.2), over the SLB's views in
+// memory. The digest comes from the content-checked measurement cache; the
+// charge is the same on a hit.
+func (c *CPU) HashOnCPU(parts ...[]byte) tpm.Digest {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	c.Clock().Advance(time.Duration(n) * c.Params.HashPerKB / 1024)
+	return tpm.MeasureImage(parts...)
 }
 
 // VMEnter charges one guest-entry world switch (Table 2's VM Enter row)

@@ -3,20 +3,12 @@ package cpu
 import (
 	"crypto/rsa"
 	"fmt"
-	"sync"
 
 	"minimaltcb/internal/acmod"
 	"minimaltcb/internal/mem"
 	"minimaltcb/internal/pal"
 	"minimaltcb/internal/tpm"
 )
-
-// slbBufPool recycles the scratch buffer launch microcode streams the SLB
-// image through; an SLB is at most 64 KB, so one buffer per concurrent
-// launch suffices instead of a fresh image-sized copy per launch. The
-// buffer never outlives the launch: everything downstream (MeasureImage,
-// TransferHash, HashData, HashOnCPU) consumes it synchronously.
-var slbBufPool = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
 
 // SLBHeader reads the Secure Loader Block header at base with microcode
 // (raw) access and returns the region the header declares and the entry
@@ -33,26 +25,6 @@ func SLBHeader(m *mem.Memory, base uint32) (region mem.Region, entry uint16, err
 	}
 	return mem.Region{Base: base, Size: length}, entry, nil
 }
-
-// ReadSLB fills a pooled buffer with the SLB bytes in r, read with
-// microcode access. The caller must ReleaseSLB(bufp) when done; the image
-// must not be used afterwards. (Returning the pool pointer rather than a
-// release closure keeps the hot launch path from allocating the closure.)
-func ReadSLB(m *mem.Memory, r mem.Region) (image []byte, bufp *[]byte, err error) {
-	bufp = slbBufPool.Get().(*[]byte)
-	if cap(*bufp) < r.Size {
-		*bufp = make([]byte, r.Size)
-	}
-	image = (*bufp)[:r.Size]
-	if err := m.ReadInto(image, r.Base); err != nil {
-		slbBufPool.Put(bufp)
-		return nil, nil, err
-	}
-	return image, bufp, nil
-}
-
-// ReleaseSLB returns a buffer ReadSLB handed out.
-func ReleaseSLB(bufp *[]byte) { slbBufPool.Put(bufp) }
 
 // This file implements the late-launch microcode of 2007 hardware.
 //
@@ -110,11 +82,13 @@ func (c *CPU) SKINIT(slbBase uint32) (*LaunchResult, error) {
 	c.Reset()
 	c.Clock().Advance(c.Params.InitCost)
 
-	image, bufp, err := ReadSLB(chip.Memory(), region)
+	// Measure the SLB where it lies: read-only views of its bytes, one
+	// per memory chunk. An SLB is at most 64 KB, so it spans at most two.
+	var viewBuf [2][]byte
+	views, err := chip.Memory().Views(viewBuf[:0], region.Base, region.Size)
 	if err != nil {
 		return nil, fmt.Errorf("cpu: SKINIT image: %w", err)
 	}
-	defer ReleaseSLB(bufp)
 	res := &LaunchResult{Region: region, Entry: entry}
 
 	bus := chip.Bus()
@@ -128,17 +102,21 @@ func (c *CPU) SKINIT(slbBase uint32) (*LaunchResult, error) {
 		if err := t.HashStart(); err != nil {
 			return nil, fmt.Errorf("cpu: SKINIT hash start: %w", err)
 		}
-		bus.TransferHash(image) // the Table 1 cost: SLB bytes through the TPM's wait states
-		if err := t.HashData(image); err != nil {
-			return nil, err
+		// The Table 1 cost: the SLB's bytes through the TPM's wait
+		// states, charged once for the whole SLB.
+		bus.TransferHash(region.Size)
+		for _, v := range views {
+			if err := t.HashData(v); err != nil {
+				return nil, err
+			}
 		}
 		if res.PALMeasurement, res.PCR17, err = t.HashEnd(); err != nil {
 			return nil, err
 		}
 	} else {
 		// No TPM: the transfer still crosses the LPC bus at full speed.
-		bus.TransferHash(image)
-		res.PALMeasurement = tpm.MeasureImage(image)
+		bus.TransferHash(region.Size)
+		res.PALMeasurement = tpm.MeasureImage(views...)
 	}
 
 	c.EnterRegion(region, entry)
@@ -185,7 +163,7 @@ func (c *CPU) SENTER(slbBase uint32, module *acmod.Module, fused *rsa.PublicKey)
 	if err := t.HashStart(); err != nil {
 		return nil, fmt.Errorf("cpu: SENTER hash start: %w", err)
 	}
-	bus.TransferHash(module.Code)
+	bus.TransferHash(len(module.Code))
 	if err := t.HashData(module.Code); err != nil {
 		return nil, err
 	}
@@ -203,12 +181,12 @@ func (c *CPU) SENTER(slbBase uint32, module *acmod.Module, fused *rsa.PublicKey)
 
 	// Phase 2: the ACMod hashes the PAL on the main CPU and extends the
 	// 20-byte digest into PCR 18 — only a constant amount crosses the bus.
-	image, bufp, err := ReadSLB(chip.Memory(), region)
+	var viewBuf [2][]byte
+	views, err := chip.Memory().Views(viewBuf[:0], region.Base, region.Size)
 	if err != nil {
 		return nil, fmt.Errorf("cpu: SENTER image: %w", err)
 	}
-	meas := c.HashOnCPU(image)
-	ReleaseSLB(bufp)
+	meas := c.HashOnCPU(views...)
 	pcr18, err := t.ExtendMicrocode(18, meas)
 	if err != nil {
 		return nil, err

@@ -38,11 +38,11 @@ func AblationHashLocation(cfg Config, sizes []int) ([]HashLocationPoint, error) 
 	amd.KeyBits, intel.KeyBits = cfg.KeyBits, cfg.KeyBits
 	var out []HashLocationPoint
 	for _, size := range sizes {
-		a, err := lateLaunchLatencyFresh(amd, size)
+		a, err := labLaunchLatency(amd, size)
 		if err != nil {
 			return nil, err
 		}
-		i, err := lateLaunchLatencyFresh(intel, size)
+		i, err := labLaunchLatency(intel, size)
 		if err != nil {
 			return nil, err
 		}
@@ -83,11 +83,11 @@ func AblationTPMWait(cfg Config) (*TPMWaitResult, error) {
 	fast := platform.HPdc5750()
 	fast.KeyBits = cfg.KeyBits
 	fast.BusTiming = lpc.FullSpeed()
-	a, err := lateLaunchLatencyFresh(slow, 64<<10)
+	a, err := labLaunchLatency(slow, 64<<10)
 	if err != nil {
 		return nil, err
 	}
-	b, err := lateLaunchLatencyFresh(fast, 64<<10)
+	b, err := labLaunchLatency(fast, 64<<10)
 	if err != nil {
 		return nil, err
 	}

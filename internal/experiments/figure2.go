@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"minimaltcb/internal/osker"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sea"
 	"minimaltcb/internal/sim"
@@ -38,42 +37,47 @@ func Figure2(cfg Config) ([]Figure2Bar, error) {
 	use := Figure2Bar{Name: "PAL Use", Phases: map[string]time.Duration{}}
 	var genTotal, quoteTotal, useTotal sim.Sample
 
-	for trial := 0; trial < cfg.Trials; trial++ {
-		m, err := platform.New(p)
-		if err != nil {
-			return nil, err
-		}
-		rt := sea.NewRuntime(osker.NewKernel(m))
+	err := withLab(p, func(l *lab) error {
+		rt := sea.NewRuntime(l.k)
+		for trial := 0; trial < cfg.Trials; trial++ {
+			// Each trial runs on a freshly powered platform: the reboot
+			// rewinds the TPM's RNG, so every trial replays the first.
+			l.m.TPM().Boot()
 
-		// PAL Gen.
-		s, err := rt.RunPALGen()
-		if err != nil {
-			return nil, fmt.Errorf("figure2 PAL Gen: %w", err)
-		}
-		accumulate(gen.Phases, s.Breakdown, cfg.Trials)
-		genTotal.Add(s.Total)
+			// PAL Gen.
+			s, err := rt.RunPALGen()
+			if err != nil {
+				return fmt.Errorf("figure2 PAL Gen: %w", err)
+			}
+			accumulate(gen.Phases, s.Breakdown, cfg.Trials)
+			genTotal.Add(s.Total)
 
-		// Quote.
-		_, qd, err := rt.Quote([]byte("figure2 nonce"))
-		if err != nil {
-			return nil, err
-		}
-		quote.Phases[sea.PhaseQuote] += qd / time.Duration(cfg.Trials)
-		quoteTotal.Add(qd)
+			// Quote.
+			_, qd, err := rt.Quote([]byte("figure2 nonce"))
+			if err != nil {
+				return err
+			}
+			quote.Phases[sea.PhaseQuote] += qd / time.Duration(cfg.Trials)
+			quoteTotal.Add(qd)
 
-		// PAL Use needs state sealed to its own identity; provision it
-		// exactly as a prior PAL Use session would have left it.
-		useImage := sea.BuildPALUse(true)
-		prior, err := rt.SealForImage(useImage, make([]byte, sea.GenPayload))
-		if err != nil {
-			return nil, err
+			// PAL Use needs state sealed to its own identity; provision
+			// it exactly as a prior PAL Use session would have left it.
+			useImage := sea.BuildPALUse(true)
+			prior, err := rt.SealForImage(useImage, make([]byte, sea.GenPayload))
+			if err != nil {
+				return err
+			}
+			u, err := rt.RunPALUse(prior, true)
+			if err != nil {
+				return fmt.Errorf("figure2 PAL Use: %w", err)
+			}
+			accumulate(use.Phases, u.Breakdown, cfg.Trials)
+			useTotal.Add(u.Total)
 		}
-		u, err := rt.RunPALUse(prior, true)
-		if err != nil {
-			return nil, fmt.Errorf("figure2 PAL Use: %w", err)
-		}
-		accumulate(use.Phases, u.Breakdown, cfg.Trials)
-		useTotal.Add(u.Total)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	gen.Total = genTotal.Mean()
 	quote.Total = quoteTotal.Mean()

@@ -40,62 +40,72 @@ func Figure3(cfg Config) ([]Figure3Row, error) {
 	for _, p := range machines {
 		p.KeyBits = cfg.KeyBits
 		p.Seed = cfg.Seed
-		m, err := platform.New(p)
+		var row Figure3Row
+		err := withLab(p, func(l *lab) error {
+			var err error
+			row, err = figure3Row(l.m, cfg.Trials)
+			return err
+		})
 		if err != nil {
 			return nil, err
-		}
-		chip := m.TPM()
-		clock := m.Clock
-		row := Figure3Row{TPM: chip.Profile().Name, Cells: map[string]Figure3Cell{}}
-
-		samples := map[string]*sim.Sample{}
-		for _, op := range Figure3Ops {
-			samples[op] = &sim.Sample{}
-		}
-		payload := make([]byte, tpm.SealGenPayload)
-		for trial := 0; trial < cfg.Trials; trial++ {
-			// PCR Extend.
-			sw := sim.StartStopwatch(clock)
-			if _, err := chip.Extend(10, evidence.Measure([]byte("event"))); err != nil {
-				return nil, err
-			}
-			samples["PCR Extend"].Add(sw.Elapsed())
-
-			// Seal (1 KB payload, the PAL Gen convention).
-			sw = sim.StartStopwatch(clock)
-			blob, err := chip.Seal(tpm.Selection{10}, payload)
-			if err != nil {
-				return nil, err
-			}
-			samples["Seal"].Add(sw.Elapsed())
-
-			// Quote.
-			sw = sim.StartStopwatch(clock)
-			if _, err := chip.QuoteCommand(tpm.Selection{10}, []byte("nonce")); err != nil {
-				return nil, err
-			}
-			samples["Quote"].Add(sw.Elapsed())
-
-			// Unseal.
-			sw = sim.StartStopwatch(clock)
-			if _, err := chip.Unseal(blob); err != nil {
-				return nil, err
-			}
-			samples["Unseal"].Add(sw.Elapsed())
-
-			// GetRandom 128 B.
-			sw = sim.StartStopwatch(clock)
-			if _, err := chip.GetRandom(128); err != nil {
-				return nil, err
-			}
-			samples["GetRand 128B"].Add(sw.Elapsed())
-		}
-		for op, s := range samples {
-			row.Cells[op] = Figure3Cell{Mean: s.Mean(), Stdev: s.Stdev()}
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// figure3Row times the charted operations on one machine's TPM.
+func figure3Row(m *platform.Machine, trials int) (Figure3Row, error) {
+	chip := m.TPM()
+	clock := m.Clock
+	row := Figure3Row{TPM: chip.Profile().Name, Cells: map[string]Figure3Cell{}}
+
+	samples := map[string]*sim.Sample{}
+	for _, op := range Figure3Ops {
+		samples[op] = &sim.Sample{}
+	}
+	payload := make([]byte, tpm.SealGenPayload)
+	for trial := 0; trial < trials; trial++ {
+		// PCR Extend.
+		sw := sim.StartStopwatch(clock)
+		if _, err := chip.Extend(10, evidence.Measure([]byte("event"))); err != nil {
+			return row, err
+		}
+		samples["PCR Extend"].Add(sw.Elapsed())
+
+		// Seal (1 KB payload, the PAL Gen convention).
+		sw = sim.StartStopwatch(clock)
+		blob, err := chip.Seal(tpm.Selection{10}, payload)
+		if err != nil {
+			return row, err
+		}
+		samples["Seal"].Add(sw.Elapsed())
+
+		// Quote.
+		sw = sim.StartStopwatch(clock)
+		if _, err := chip.QuoteCommand(tpm.Selection{10}, []byte("nonce")); err != nil {
+			return row, err
+		}
+		samples["Quote"].Add(sw.Elapsed())
+
+		// Unseal.
+		sw = sim.StartStopwatch(clock)
+		if _, err := chip.Unseal(blob); err != nil {
+			return row, err
+		}
+		samples["Unseal"].Add(sw.Elapsed())
+
+		// GetRandom 128 B.
+		sw = sim.StartStopwatch(clock)
+		if _, err := chip.GetRandom(128); err != nil {
+			return row, err
+		}
+		samples["GetRand 128B"].Add(sw.Elapsed())
+	}
+	for op, s := range samples {
+		row.Cells[op] = Figure3Cell{Mean: s.Mean(), Stdev: s.Stdev()}
+	}
+	return row, nil
 }
 
 // RenderFigure3 writes the bars as a table (TPMs as rows).

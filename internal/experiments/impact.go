@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
-	"minimaltcb/internal/osker"
 	"minimaltcb/internal/pal"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sea"
 	"minimaltcb/internal/sim"
-	"minimaltcb/internal/sksm"
 )
 
 // ImpactResult is §5.7's headline comparison: the cost of protecting PAL
@@ -38,118 +35,79 @@ type ImpactResult struct {
 	OrdersOfMagnitude float64
 }
 
-// impactLab caches the two machines Impact drives, keyed by (KeyBits,
-// Seed). Between calls each machine's TPM is rebooted: power-on rewinds
-// the chip's deterministic RNG and resets the PCRs, so a reused machine
-// replays the exact seal/unseal/launch sequence — same blobs, same
-// measurements, same charged latencies — as a freshly built one, without
-// paying machine construction per call.
-type impactLab struct {
-	legacyRT *sea.Runtime
-	recM     *platform.Machine
-	recMG    *sksm.Manager
-}
-
-var (
-	impactMu   sync.Mutex
-	impactLabs = map[[2]uint64]*impactLab{}
-)
-
-func impactLabFor(cfg Config) (*impactLab, error) {
-	impactMu.Lock()
-	defer impactMu.Unlock()
-	key := [2]uint64{uint64(cfg.KeyBits), cfg.Seed}
-	if lab, ok := impactLabs[key]; ok {
-		return lab, nil
-	}
-	p := platform.HPdc5750()
-	p.KeyBits = cfg.KeyBits
-	p.Seed = cfg.Seed
-	m, err := platform.New(p)
-	if err != nil {
-		return nil, err
-	}
-	rp := platform.Recommended(platform.HPdc5750(), 2)
-	rp.KeyBits = cfg.KeyBits
-	rp.Seed = cfg.Seed
-	rm, err := platform.New(rp)
-	if err != nil {
-		return nil, err
-	}
-	mg, err := sksm.NewManager(osker.NewKernel(rm))
-	if err != nil {
-		return nil, err
-	}
-	lab := &impactLab{legacyRT: sea.NewRuntime(osker.NewKernel(m)), recM: rm, recMG: mg}
-	if len(impactLabs) >= 64 {
-		impactLabs = map[[2]uint64]*impactLab{}
-	}
-	impactLabs[key] = lab
-	return lab, nil
-}
-
 // Impact measures §5.7 end to end on the HP dc5750: both switch paths are
-// actually executed, not computed from constants.
+// actually executed, not computed from constants. The legacy path runs on
+// the HP lab Table 1 and Figure 2 use, the recommended path on its
+// two-sePCR twin; Impact holds one lab at a time.
 func Impact(cfg Config) (*ImpactResult, error) {
 	cfg = cfg.withDefaults()
 	res := &ImpactResult{}
-	lab, err := impactLabFor(cfg)
-	if err != nil {
-		return nil, err
-	}
 
 	// --- Legacy path: measure a real PAL Use resume and its seal-out.
-	rt := lab.legacyRT
-	rt.Kernel.Machine.TPM().Boot() // replay the chip's randomness stream
-	useImage := sea.BuildPALUse(true)
-	prior, err := rt.SealForImage(useImage, make([]byte, sea.GenPayload))
+	legacy := platform.HPdc5750()
+	legacy.KeyBits = cfg.KeyBits
+	legacy.Seed = cfg.Seed
+	err := withLab(legacy, func(l *lab) error {
+		rt := sea.NewRuntime(l.k)
+		useImage := sea.BuildPALUse(true)
+		prior, err := rt.SealForImage(useImage, make([]byte, sea.GenPayload))
+		if err != nil {
+			return err
+		}
+		s, err := rt.RunPALUse(prior, true)
+		if err != nil {
+			return err
+		}
+		res.LegacySwitchIn = s.Breakdown[sea.PhaseLaunch] + s.Breakdown[sea.PhaseUnseal]
+		res.LegacySwitchOut = s.Breakdown[sea.PhaseSeal]
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	s, err := rt.RunPALUse(prior, true)
-	if err != nil {
-		return nil, err
-	}
-	res.LegacySwitchIn = s.Breakdown[sea.PhaseLaunch] + s.Breakdown[sea.PhaseUnseal]
-	res.LegacySwitchOut = s.Breakdown[sea.PhaseSeal]
 	res.LegacyRoundTrip = res.LegacySwitchIn + res.LegacySwitchOut
 
 	// --- Recommended path: measure a real suspend/resume round trip.
-	rm, mg := lab.recM, lab.recMG
-	im := pal.MustBuild(`
-		svc 1
-		svc 1
-		ldi r0, 0
-		svc 0
-	`)
-	secb, err := mg.NewSECB(im, 0, 0)
+	rec := platform.Recommended(platform.HPdc5750(), 2)
+	rec.KeyBits = cfg.KeyBits
+	rec.Seed = cfg.Seed
+	err = withLab(rec, func(l *lab) error {
+		mg := l.mg
+		im := pal.MustBuild(`
+			svc 1
+			svc 1
+			ldi r0, 0
+			svc 0
+		`)
+		secb, err := mg.NewSECB(im, 0, 0)
+		if err != nil {
+			return err
+		}
+		core := l.m.CPUs[1]
+		// First slice: launch (measured separately, not a context switch).
+		if _, err := mg.RunSlice(core, secb); err != nil {
+			return err
+		}
+		// Second slice: resume + yield = one full round trip.
+		sw := sim.StartStopwatch(l.m.Clock)
+		if _, err := mg.RunSlice(core, secb); err != nil {
+			return err
+		}
+		res.RecommendedRoundTrip = sw.Elapsed()
+		res.RecommendedSwitchIn = core.Params.VMEnter
+		res.RecommendedSwitchOut = core.Params.VMExit
+		// Drive the PAL to its exit and return its pages and sePCR
+		// (freed unquoted — nothing attests here), so the lab is clean
+		// for its next user.
+		if err := mg.RunToCompletion(core, secb); err != nil {
+			return err
+		}
+		if err := l.m.TPM().FreeSePCR(secb.SePCRHandle); err != nil {
+			return err
+		}
+		return mg.Release(secb)
+	})
 	if err != nil {
-		return nil, err
-	}
-	core := rm.CPUs[1]
-	// First slice: launch (measured separately, not a context switch).
-	if _, err := mg.RunSlice(core, secb); err != nil {
-		return nil, err
-	}
-	// Second slice: resume + yield = one full round trip.
-	sw := sim.StartStopwatch(rm.Clock)
-	if _, err := mg.RunSlice(core, secb); err != nil {
-		return nil, err
-	}
-	roundTrip := sw.Elapsed()
-	res.RecommendedSwitchIn = core.Params.VMEnter
-	res.RecommendedSwitchOut = core.Params.VMExit
-	res.RecommendedRoundTrip = roundTrip
-	// Drive the PAL to its exit and return its pages and sePCR (freed
-	// unquoted — nothing attests here), so the cached machine is clean
-	// for the next call.
-	if err := mg.RunToCompletion(core, secb); err != nil {
-		return nil, err
-	}
-	if err := rm.TPM().FreeSePCR(secb.SePCRHandle); err != nil {
-		return nil, err
-	}
-	if err := mg.Release(secb); err != nil {
 		return nil, err
 	}
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"minimaltcb/internal/cpu"
@@ -35,73 +34,37 @@ func Table1(cfg Config) ([]Table1Row, error) {
 	for _, p := range profiles {
 		p.KeyBits = cfg.KeyBits
 		p.Seed = cfg.Seed
-		lab, err := labFor(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
 		row := Table1Row{Config: p.Name, HasTPM: p.HasTPM, Avg: map[int]time.Duration{}}
-		for _, size := range Table1Sizes {
-			var sample sim.Sample
-			for trial := 0; trial < cfg.Trials; trial++ {
-				d, err := lateLaunchLatency(lab.k, lab.core, p, size)
-				if err != nil {
-					return nil, fmt.Errorf("%s @%d: %w", p.Name, size, err)
+		err := withLab(p, func(l *lab) error {
+			for _, size := range Table1Sizes {
+				var sample sim.Sample
+				for trial := 0; trial < cfg.Trials; trial++ {
+					d, err := lateLaunchLatency(l.k, p, size)
+					if err != nil {
+						return fmt.Errorf("%s @%d: %w", p.Name, size, err)
+					}
+					sample.Add(d)
 				}
-				sample.Add(d)
+				row.Avg[size] = sample.Mean()
 			}
-			row.Avg[size] = sample.Mean()
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// launchLab is one cached machine for the latency-sweep experiments.
-type launchLab struct {
-	k    *osker.Kernel
-	core *cpu.CPU
-}
-
-// Latency sweeps (Table 1, the hash-location and two-stage ablations)
-// reuse one machine per profile across calls: every measured launch
-// restores the machine to its pre-launch state, latencies come from a
-// stopwatch on the virtual clock (absolute time is irrelevant), and the
-// launch path draws nothing from the TPM's RNG — so a cached machine
-// measures exactly what a fresh one would, without paying machine
-// construction per sweep. Profiles are plain value structs, so the profile
-// itself is the cache key; two profiles differing only in bus timing (the
-// TPM-wait ablation) therefore get distinct machines.
-var (
-	labMu    sync.Mutex
-	labCache = map[platform.Profile]*launchLab{}
-)
-
-func labFor(p platform.Profile) (*launchLab, error) {
-	labMu.Lock()
-	defer labMu.Unlock()
-	if lab, ok := labCache[p]; ok {
-		return lab, nil
-	}
-	m, err := platform.New(p)
-	if err != nil {
-		return nil, err
-	}
-	lab := &launchLab{k: osker.NewKernel(m), core: m.BootCPU()}
-	if len(labCache) >= 64 {
-		labCache = map[platform.Profile]*launchLab{}
-	}
-	labCache[p] = lab
-	return lab, nil
-}
-
-// lateLaunchLatencyFresh measures one late launch on the profile's cached
-// lab machine — the convenience path for one-off ablation points.
-func lateLaunchLatencyFresh(p platform.Profile, size int) (time.Duration, error) {
-	lab, err := labFor(p)
-	if err != nil {
-		return 0, err
-	}
-	return lateLaunchLatency(lab.k, lab.core, p, size)
+// labLaunchLatency measures one late launch on the profile's lab machine —
+// the convenience path for one-off ablation points.
+func labLaunchLatency(p platform.Profile, size int) (d time.Duration, err error) {
+	err = withLab(p, func(l *lab) error {
+		d, err = lateLaunchLatency(l.k, p, size)
+		return err
+	})
+	return d, err
 }
 
 // lateLaunchLatency measures one late launch of a PAL padded to size bytes.
@@ -111,7 +74,7 @@ func lateLaunchLatencyFresh(p platform.Profile, size int) (time.Duration, error)
 // signature check, which happen regardless of PAL size. The launch's
 // machine state is undone afterwards so the kernel and core can be reused
 // for the next trial.
-func lateLaunchLatency(k *osker.Kernel, core *cpu.CPU, p platform.Profile, size int) (time.Duration, error) {
+func lateLaunchLatency(k *osker.Kernel, p platform.Profile, size int) (time.Duration, error) {
 	image := pal.MustBuild("ldi r0, 0\nsvc 0")
 	if size > 0 {
 		var err error
@@ -127,6 +90,7 @@ func lateLaunchLatency(k *osker.Kernel, core *cpu.CPU, p platform.Profile, size 
 	}
 
 	m := k.Machine
+	core := m.BootCPU()
 	region, err := k.PlaceImage(image.Bytes, 0)
 	if err != nil {
 		return 0, err

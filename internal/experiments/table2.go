@@ -27,19 +27,21 @@ func Table2(cfg Config) ([]Table2Row, error) {
 	for _, p := range profiles {
 		p.KeyBits = cfg.KeyBits
 		p.Seed = cfg.Seed
-		m, err := platform.New(p)
+		var enter, exit sim.Sample
+		err := withLab(p, func(l *lab) error {
+			core := l.m.BootCPU()
+			for trial := 0; trial < cfg.Trials; trial++ {
+				sw := sim.StartStopwatch(l.m.Clock)
+				core.VMEnter()
+				enter.Add(sw.Elapsed())
+				sw = sim.StartStopwatch(l.m.Clock)
+				core.VMExit()
+				exit.Add(sw.Elapsed())
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
-		}
-		core := m.BootCPU()
-		var enter, exit sim.Sample
-		for trial := 0; trial < cfg.Trials; trial++ {
-			sw := sim.StartStopwatch(m.Clock)
-			core.VMEnter()
-			enter.Add(sw.Elapsed())
-			sw = sim.StartStopwatch(m.Clock)
-			core.VMExit()
-			exit.Add(sw.Elapsed())
 		}
 		rows = append(rows, Table2Row{
 			Platform: p.Name,

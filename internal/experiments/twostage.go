@@ -47,7 +47,7 @@ func AblationTwoStageAMD(cfg Config, sizes []int) ([]TwoStagePoint, error) {
 		if size <= twoStageLoaderSize {
 			return nil, fmt.Errorf("twostage: size %d not above the %d-byte loader", size, twoStageLoaderSize)
 		}
-		single, err := lateLaunchLatencyFresh(prof, size)
+		single, err := labLaunchLatency(prof, size)
 		if err != nil {
 			return nil, err
 		}

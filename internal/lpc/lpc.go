@@ -160,12 +160,14 @@ func (b *Bus) Release(cpu int) {
 // Holder returns the CPU holding the TPM lock, or -1.
 func (b *Bus) Holder() int { return b.lockedBy }
 
-// TransferHash charges the clock for streaming data to the TPM with the
-// TPM_HASH_* sequence and returns the elapsed bus time.
-func (b *Bus) TransferHash(data []byte) time.Duration {
-	d := b.timing.HashTransferCost(len(data))
+// TransferHash charges the clock for streaming n bytes to the TPM with one
+// TPM_HASH_* sequence and returns the elapsed bus time. The charge is per
+// sequence (HashStartEnd) plus per byte, so a launch makes one call over
+// its whole SLB however many pieces it hands the TPM.
+func (b *Bus) TransferHash(n int) time.Duration {
+	d := b.timing.HashTransferCost(n)
 	b.clock.Advance(d)
-	b.Transferred += int64(len(data))
+	b.Transferred += int64(n)
 	return d
 }
 

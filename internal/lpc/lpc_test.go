@@ -78,7 +78,7 @@ func TestValidateRejectsSuperluminalBus(t *testing.T) {
 func TestHashTransferChargesClock(t *testing.T) {
 	clock := sim.NewClock()
 	bus := NewBus(clock, FullSpeed())
-	d := bus.TransferHash(make([]byte, 65536))
+	d := bus.TransferHash(65536)
 	if clock.Now() != d {
 		t.Fatalf("clock %v != returned %v", clock.Now(), d)
 	}
@@ -93,7 +93,7 @@ func TestHashTransferChargesClock(t *testing.T) {
 func TestZeroLengthTransferIsFree(t *testing.T) {
 	clock := sim.NewClock()
 	bus := NewBus(clock, LongWait())
-	if d := bus.TransferHash(nil); d != 0 {
+	if d := bus.TransferHash(0); d != 0 {
 		t.Fatalf("empty transfer cost %v", d)
 	}
 	if clock.Now() != 0 {

@@ -20,8 +20,8 @@
 // its bytes only on the first write. A simulated machine therefore costs
 // an 8 KB chunk-pointer slice (for 64 MB), about 400 B per touched chunk
 // and 64 KB per written chunk, rather than its physical memory size or a
-// dense page table, which is what makes fresh-machine-per-trial experiment
-// sweeps cheap (see docs/PERFORMANCE.md).
+// dense page table, which is what makes building a machine cheap (see
+// docs/PERFORMANCE.md).
 //
 // Every page additionally carries a version counter, bumped on any write,
 // zeroing, or access-control transition touching the page. The CPU's
@@ -395,9 +395,9 @@ func (m *Memory) dataFor(addr uint32) []byte {
 }
 
 // ReadInto fills dst with the bytes at addr without access checks and
-// without allocating. Hardware microcode (SKINIT streaming the SLB to the
-// TPM) uses it with a pooled buffer; software paths must go through the
-// chipset, which checks the table.
+// without allocating. Hardware microcode (the SLB header, the saved state
+// in a SECB page) uses it with a stack buffer; software paths must go
+// through the chipset, which checks the table.
 func (m *Memory) ReadInto(dst []byte, addr uint32) error {
 	if err := m.checkRange(addr, len(dst)); err != nil {
 		return err
@@ -439,9 +439,35 @@ func (m *Memory) View(addr uint32, n int) (b []byte, ok bool) {
 	return c[off : off+n : off+n], true
 }
 
+// Views appends to dst bounded read-only views of [addr, addr+n), one per
+// backing chunk the range touches, and returns the extended slice; the
+// views concatenate to the range's bytes. Like View it neither copies nor
+// checks access, and never-written memory views the shared zero chunk.
+// Late-launch microcode measures an SLB through them where it lies. The
+// views alias live memory: callers must not write through them or use them
+// after the range is next written. An out-of-range request returns dst
+// unchanged and ErrOutOfRange.
+func (m *Memory) Views(dst [][]byte, addr uint32, n int) ([][]byte, error) {
+	if err := m.checkRange(addr, n); err != nil {
+		return dst, err
+	}
+	for n > 0 {
+		off := int(addr) & (ChunkSize - 1)
+		step := min(ChunkSize-off, n)
+		c := m.read(int(addr >> chunkShift)).data
+		if c == nil {
+			c = zeroChunk[:]
+		}
+		dst = append(dst, c[off:off+step:off+step])
+		n -= step
+		addr += uint32(step)
+	}
+	return dst, nil
+}
+
 // ReadRaw copies n bytes at addr without access checks. Test fixtures and
 // untrusted callers that retain the result use it; zero-allocation paths
-// use ReadInto or View.
+// use ReadInto, View or Views.
 func (m *Memory) ReadRaw(addr uint32, n int) ([]byte, error) {
 	if err := m.checkRange(addr, n); err != nil {
 		return nil, err

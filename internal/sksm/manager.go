@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"minimaltcb/internal/audit"
+	"minimaltcb/internal/chipset"
 	"minimaltcb/internal/cpu"
 	"minimaltcb/internal/mem"
 	"minimaltcb/internal/obs"
@@ -194,6 +195,12 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB) error {
 	m := mg.Kernel.Machine
 	switch s.State {
 	case StateStart:
+		// Fig. 5(b) lets a page go ALL -> CPU only at a first launch, so
+		// a region with any page not in ALL — a suspended PAL's NONE
+		// pages above all — is refused before anything is claimed.
+		if err := regionIn(m.Chipset, s.fullRegion(), mem.AccessAll); err != nil {
+			return fmt.Errorf("%w: first launch: %w", ErrLaunchFailed, err)
+		}
 		// Protect: the memory controller claims the pages — SECB and
 		// PAL both — for this CPU ("for the memory region defined in
 		// the SECB and for the SECB itself", §5.1).
@@ -210,14 +217,14 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB) error {
 		// software locks), allocate a sePCR, and stream the PAL to the
 		// TPM once.
 		s.State = StateMeasure
-		image, entry, bufp, err := readSLB(m.Chipset.Memory(), s.Region)
+		var viewBuf [2][]byte
+		slb, entry, views, err := readSLB(m.Chipset.Memory(), s.Region, viewBuf[:0])
 		if err != nil {
 			m.Chipset.ReleaseRegion(s.fullRegion(), c.ID)
 			s.State = StateStart
 			return fmt.Errorf("%w: %w", ErrLaunchFailed, err)
 		}
-		defer cpu.ReleaseSLB(bufp)
-		s.Measurement = tpm.MeasureImage(image)
+		s.Measurement = tpm.MeasureImage(views...)
 		bus := m.Chipset.Bus()
 		if err := bus.Acquire(c.ID); err != nil {
 			m.Chipset.ReleaseRegion(s.fullRegion(), c.ID)
@@ -232,7 +239,7 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB) error {
 			return fmt.Errorf("%w: %w", ErrLaunchFailed, err)
 		}
 		s.SePCRHandle = handle
-		bus.TransferHash(image)
+		bus.TransferHash(slb.Size)
 		bus.Release(c.ID)
 		s.MeasuredFlag = true
 		s.entry = entry
@@ -243,6 +250,15 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB) error {
 		c.EnterRegion(s.Region, entry)
 		c.SetService(mg.serviceFor(s))
 		if mg.Prof != nil {
+			// The profiler clones an image it has not seen, so it
+			// needs contiguous bytes only when the SLB spans chunks.
+			image := views[0]
+			if len(views) > 1 {
+				image = make([]byte, 0, slb.Size)
+				for _, v := range views {
+					image = append(image, v...)
+				}
+			}
 			mg.Prof.Enter(s.Measurement, pal.Image{Bytes: image, Entry: entry}, s.Region.Size, false)
 			c.SetProfiler(mg.Prof)
 		}
@@ -257,22 +273,27 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB) error {
 		if !s.MeasuredFlag {
 			return fmt.Errorf("%w: resume of unmeasured SECB", ErrLaunchFailed)
 		}
+		// Fig. 5(b) lets a page go NONE -> CPU only at a resume, and only
+		// a suspend leaves pages NONE with the saved state in the control
+		// page directly below the PAL. Anything else — pages the OS can
+		// still write, whatever its SECB struct claims — is no suspended
+		// PAL. The saved state is read back from that page, never from
+		// the software-visible struct: honoring one would let a forged
+		// control block resume a victim PAL with attacker-chosen
+		// registers and program counter.
+		if s.SECBRegion.Size != mem.PageSize || s.SECBRegion.End() != s.Region.Base {
+			return fmt.Errorf("%w: SECB has no protected control page", ErrLaunchFailed)
+		}
+		if err := regionIn(m.Chipset, s.fullRegion(), mem.AccessNone); err != nil {
+			return fmt.Errorf("%w: resume: %w", ErrLaunchFailed, err)
+		}
 		s.State = StateProtect
 		if err := m.Chipset.ProtectRegion(s.fullRegion(), c.ID); err != nil {
 			s.State = StateSuspend
 			return fmt.Errorf("%w: %w", ErrLaunchFailed, err)
 		}
-		// The saved state is read back from the protected SECB page —
-		// the hardware's copy, which the OS could not have touched
-		// while the pages were NONE. There is deliberately no fallback
-		// to the software-visible SECB struct: honoring one would let a
-		// forged control block resume a victim PAL with attacker-chosen
-		// registers and program counter.
-		if s.SECBRegion.Size == 0 {
-			m.Chipset.SecludeRegion(s.fullRegion(), c.ID)
-			s.State = StateSuspend
-			return fmt.Errorf("%w: SECB has no protected control page", ErrLaunchFailed)
-		}
+		// The saved state: the hardware's copy, which the OS could not
+		// have touched while the pages were NONE.
 		saved, savedHandle, err := readArchState(m.Chipset.Memory(), s.SECBRegion.Base)
 		if err != nil {
 			m.Chipset.SecludeRegion(s.fullRegion(), c.ID)
@@ -304,19 +325,32 @@ func (mg *Manager) slaunch(c *cpu.CPU, s *SECB) error {
 	}
 }
 
-// readSLB is the Measure step's read of the PAL from its protected pages:
+// regionIn checks that every page of r is in state want, the source state
+// Fig. 5(b) allows for the transition SLAUNCH is about to make. It reads
+// the page table only and charges no time.
+func regionIn(cs *chipset.Chipset, r mem.Region, want mem.PageState) error {
+	st, err := cs.RegionState(r)
+	if err == nil && st != want {
+		err = fmt.Errorf("pages are %v, want %v", st, want)
+	}
+	return err
+}
+
+// readSLB is the Measure step's read of the PAL in its protected pages:
 // the header at the region's base declares the SLB's length, which must fit
-// the region, and its entry point. The caller must cpu.ReleaseSLB(bufp).
-func readSLB(m *mem.Memory, r mem.Region) (image []byte, entry uint16, bufp *[]byte, err error) {
-	slb, entry, err := cpu.SLBHeader(m, r.Base)
+// the region, and its entry point. It appends read-only views of the SLB's
+// bytes where they lie (mem.Memory.Views) to dst; they must not outlive the
+// launch.
+func readSLB(m *mem.Memory, r mem.Region, dst [][]byte) (slb mem.Region, entry uint16, views [][]byte, err error) {
+	slb, entry, err = cpu.SLBHeader(m, r.Base)
 	if err != nil {
-		return nil, 0, nil, err
+		return mem.Region{}, 0, nil, err
 	}
 	if slb.Size > r.Size {
-		return nil, 0, nil, fmt.Errorf("sksm: SLB header declares %d bytes, region holds %d", slb.Size, r.Size)
+		return mem.Region{}, 0, nil, fmt.Errorf("sksm: SLB header declares %d bytes, region holds %d", slb.Size, r.Size)
 	}
-	image, bufp, err = cpu.ReadSLB(m, slb)
-	return image, entry, bufp, err
+	views, err = m.Views(dst, slb.Base, slb.Size)
+	return slb, entry, views, err
 }
 
 // Suspend implements the preemption-timer expiry / SYIELD path (§5.3):

@@ -47,11 +47,11 @@ const memoLimit = 4096
 // would let two sizes sharing a slot evict each other on every pass.
 const MeasureCacheEntries = 16
 
-// measureCache is process-global: experiment sweeps build fresh machines
-// by the dozen, and a per-chip cache would re-copy and re-hash the same
-// images for each of them. The digest is a pure function of the bytes and
-// a content compare guards every hit, so sharing cannot leak state between
-// machines.
+// measureCache is process-global: the service's replicas and the
+// experiments' lab machines launch the same images, and a per-chip cache
+// would copy and hash each image again for every machine. The digest is a
+// pure function of the bytes and a content compare guards every hit, so
+// sharing cannot leak state between machines.
 var measureCache struct {
 	sync.Mutex
 	next         int
@@ -62,18 +62,27 @@ var measureCache struct {
 	}
 }
 
-// MeasureImage returns the measurement (SHA-1) of b. Recently measured
-// bytes are served from the measurement cache, which every late launch
-// shares: SKINIT and SENTER through TPM_HASH_END and the ACMod's on-CPU
-// hash, SLAUNCH directly. A hit needs a full content compare — no address,
-// slice identity or caller-supplied digest is trusted — so a rewritten
-// image is always measured afresh. b is not retained.
-func MeasureImage(b []byte) Digest {
+// MeasureImage returns the measurement (SHA-1) of the concatenation of
+// parts. Recently measured images are served from the measurement cache,
+// which every late launch shares: SKINIT through TPM_HASH_END, and SKINIT
+// without a TPM, SENTER's on-CPU hash and SLAUNCH directly over views of
+// the SLB in memory (mem.Memory.Views). A hit compares every byte of every
+// part against a private copy — no address, slice identity or
+// caller-supplied digest is trusted — so a rewritten image is always
+// measured afresh. No part is retained, and the parts must not change
+// during the call. A miss on a single part allocates nothing once its
+// cache slot has grown to the image's size; a miss on several parts joins
+// them into a new copy.
+func MeasureImage(parts ...[]byte) Digest {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	mc := &measureCache
 	mc.Lock()
 	for i := range mc.entries {
 		e := &mc.entries[i]
-		if e.img != nil && bytes.Equal(e.img, b) { // bytes.Equal compares lengths first
+		if e.img != nil && len(e.img) == n && equalParts(e.img, parts) {
 			d := e.meas
 			mc.hits++
 			mc.Unlock()
@@ -82,14 +91,42 @@ func MeasureImage(b []byte) Digest {
 	}
 	mc.misses++
 	mc.Unlock()
-	d := evidence.Measure(b)
+	// Hash outside the lock. joined is never a part, so storing it below
+	// retains none of the caller's memory.
+	var d Digest
+	var joined []byte
+	if len(parts) == 1 {
+		d = evidence.Measure(parts[0])
+	} else {
+		joined = make([]byte, 0, n)
+		for _, p := range parts {
+			joined = append(joined, p...)
+		}
+		d = evidence.Measure(joined)
+	}
 	mc.Lock()
 	e := &mc.entries[mc.next]
 	mc.next = (mc.next + 1) % MeasureCacheEntries
-	e.img = append(e.img[:0], b...)
+	if joined != nil {
+		e.img = joined
+	} else {
+		e.img = append(e.img[:0], parts[0]...)
+	}
 	e.meas = d
 	mc.Unlock()
 	return d
+}
+
+// equalParts reports whether img, whose length the caller has checked
+// against the parts' total, is their concatenation.
+func equalParts(img []byte, parts [][]byte) bool {
+	for _, p := range parts {
+		if !bytes.Equal(img[:len(p)], p) {
+			return false
+		}
+		img = img[len(p):]
+	}
+	return true
 }
 
 // ---- Deterministic RSA memoization -----------------------------------

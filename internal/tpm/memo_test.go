@@ -53,6 +53,95 @@ func TestMeasureImageSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// split cuts img into n parts of as equal a length as the bytes allow.
+func split(img []byte, n int) [][]byte {
+	parts := make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		parts = append(parts, img[i*len(img)/n:(i+1)*len(img)/n])
+	}
+	return parts
+}
+
+// TestMeasureImageParts: late launch measures an SLB through views of it
+// in memory, one per chunk, so one image arrives as one part or several.
+// Every split measures as the whole image does and shares one cache entry;
+// a change in the last byte of the last part is a new image; the cache
+// keeps its own copy, so rewriting the parts after a call changes nothing
+// a later hit sees; and a hit allocates nothing.
+func TestMeasureImageParts(t *testing.T) {
+	img := make([]byte, 64<<10)
+	for i := range img {
+		img[i] = byte(i*31 + i>>8)
+	}
+	copy(img, "TestMeasureImageParts")
+	want := evidence.Measure(img)
+	measure := func(parts [][]byte) (Digest, CacheCounts) {
+		before := CacheStats()
+		d := MeasureImage(parts...)
+		after := CacheStats()
+		return d, CacheCounts{MeasureHits: after.MeasureHits - before.MeasureHits, MeasureMisses: after.MeasureMisses - before.MeasureMisses}
+	}
+	for i, n := range []int{1, 2, 16, 1, 16, 2} {
+		d, got := measure(split(img, n))
+		if d != want {
+			t.Fatalf("%d parts: digest %x, want %x", n, d, want)
+		}
+		if wantCounts := (CacheCounts{MeasureHits: 1}); i == 0 {
+			wantCounts = CacheCounts{MeasureMisses: 1}
+			if got != wantCounts {
+				t.Fatalf("first measurement (%d parts) counted %+v, want one miss", n, got)
+			}
+		} else if got != wantCounts {
+			t.Fatalf("%d parts after the first measurement counted %+v, want one hit", n, got)
+		}
+	}
+
+	for _, n := range []int{1, 2, 16} {
+		parts := split(bytes.Clone(img), n)
+		last := parts[n-1]
+		last[len(last)-1] ^= byte(n) // a different image for each split
+		d, got := measure(parts)
+		if d != evidence.Measure(bytes.Join(parts, nil)) || d == want {
+			t.Fatalf("%d parts, last byte changed: digest %x", n, d)
+		}
+		if got != (CacheCounts{MeasureMisses: 1}) {
+			t.Fatalf("%d parts, last byte changed: counted %+v, want one miss", n, got)
+		}
+	}
+
+	// Rewrite the parts of the call that filled the cache. Had the entry
+	// kept them, an unchanged copy of the image would now miss, and the
+	// rewritten bytes would hit with the old digest.
+	fresh := bytes.Clone(img)
+	fresh[0] ^= 0x11
+	freshWant := evidence.Measure(fresh)
+	unchanged := bytes.Clone(fresh)
+	parts := split(fresh, 2)
+	if d, got := measure(parts); d != freshWant || got != (CacheCounts{MeasureMisses: 1}) {
+		t.Fatalf("fresh image: digest %x counted %+v, want a miss", d, got)
+	}
+	parts[0][0] ^= 0x11
+	parts[1][7] ^= 0x22
+	if d, got := measure(split(unchanged, 16)); d != freshWant || got != (CacheCounts{MeasureHits: 1}) {
+		t.Fatalf("after the parts were rewritten: digest %x counted %+v, want the cached digest on a hit", d, got)
+	}
+	if d := MeasureImage(parts...); d != evidence.Measure(fresh) {
+		t.Fatalf("rewritten parts measured %x, want the digest of their new bytes", d)
+	}
+
+	for _, n := range []int{1, 2, 16} {
+		parts := split(img, n)
+		allocs := testing.AllocsPerRun(50, func() {
+			if MeasureImage(parts...) != want {
+				t.Fatal("hit measured wrong")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("a hit on %d parts allocates %v allocs/op, want 0", n, allocs)
+		}
+	}
+}
+
 // TestMeasureImageTamperAfterHit: rewriting one byte of a slice that was
 // just served from the cache must re-measure — the same backing array with
 // new content is a new image.

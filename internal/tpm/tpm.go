@@ -355,9 +355,11 @@ func (t *TPM) releaseHashBuf() {
 	t.hashBuf = nil
 }
 
-// HashData executes TPM_HASH_DATA, appending bytes to the open hash. The
-// LPC transfer cost is charged by the caller (CPU microcode) via
-// Bus.TransferHash, since the long-wait behaviour lives on the bus.
+// HashData executes TPM_HASH_DATA, appending bytes to the open hash: the
+// chip keeps its own copy and measures exactly what it was sent. A launch
+// may send the SLB in pieces. The LPC transfer cost is charged by the
+// caller (CPU microcode) with one Bus.TransferHash over the whole SLB,
+// since the long-wait behaviour lives on the bus.
 func (t *TPM) HashData(b []byte) error {
 	if !t.hashing {
 		return ErrNotHashing

@@ -15,6 +15,7 @@ import (
 	"minimaltcb/internal/evidence"
 	"minimaltcb/internal/mem"
 	"minimaltcb/internal/merkle"
+	"minimaltcb/internal/pal"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sksm"
 	"minimaltcb/internal/tpm"
@@ -226,6 +227,167 @@ msg:	.ascii "EVIL"
 		case tc.rewrite != nil && verr == nil:
 			t.Fatalf("%s: the attacker's run verified as the approved PAL", tc.name)
 		}
+	}
+}
+
+// osCores is a recommended HP dc5750 with a third core: the victim PAL
+// runs on CPU1, the OS on CPU0 and its own PAL on CPU2.
+func osCores(t *testing.T) *core.System {
+	t.Helper()
+	p := fast(platform.Recommended(platform.HPdc5750(), 2))
+	p.NumCPUs = 3
+	sys, err := core.NewSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// forgedSavedState is a SECB page's saved-state block (sksm's layout) as
+// the OS would write it: the magic, registers, PC and a sePCR handle.
+func forgedSavedState(regs [8]uint32, pc uint32, handle int) []byte {
+	b := make([]byte, 64)
+	copy(b, "SECB")
+	for i, r := range regs {
+		binary.LittleEndian.PutUint32(b[4+4*i:], r)
+	}
+	binary.LittleEndian.PutUint32(b[36:], pc)
+	binary.LittleEndian.PutUint32(b[60:], uint32(int32(handle)))
+	return b
+}
+
+// Capability: the OS controls every SECB field and every ALL page. It
+// forges a resume: its own SECB, over pages it can still write, claims
+// Suspend and the measured flag, and its control page holds a saved state
+// the OS wrote — its own code's entry and a suspended victim's sePCR. Only
+// a suspend leaves a PAL's pages NONE, so SLAUNCH refuses to resume pages
+// that are not, and the OS's unmeasured code never runs under the
+// victim's register (§5.3.1, Fig. 5(b)). The victim still resumes.
+func TestForgedResumeOverOSPages(t *testing.T) {
+	sys := osCores(t)
+	mg, cs := sys.SKSM, sys.Machine.Chipset
+	victim, err := mg.NewSECB(pal.MustBuild(`
+	ldi	r0, secret
+	ldi	r1, 9
+	ldi	r2, blob
+	svc	3		; seal TOPSECRET to this PAL
+	mov	r1, r0
+	ldi	r0, blob
+	svc	6		; the OS stores the blob
+	svc	1		; yield
+	ldi	r0, 0
+	svc	0
+secret:	.ascii "TOPSECRET"
+blob:	.space 1024
+stack:	.space 64
+`), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core1 := sys.Machine.CPUs[1]
+	if _, err := mg.RunSlice(core1, victim); err != nil {
+		t.Fatal(err)
+	}
+	blob := victim.Output
+	if victim.State != sksm.StateSuspend || len(blob) == 0 {
+		t.Fatalf("victim %v with a %d-byte blob, want suspended with its sealed secret", victim.State, len(blob))
+	}
+
+	// The OS's code unseals [r0, r0+r1) into [r2] and outputs it.
+	evil := pal.MustBuild(`
+	svc	4
+	mov	r1, r0
+	mov	r0, r2
+	svc	6
+	ldi	r0, 0
+	svc	0
+`)
+	forged, err := mg.NewSECB(evil, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := uint32((len(evil.Bytes) + mem.PageSize - 1) / mem.PageSize * mem.PageSize)
+	if err := cs.CPUWrite(0, forged.Region.Base+data, blob); err != nil {
+		t.Fatal(err)
+	}
+	block := forgedSavedState([8]uint32{data, uint32(len(blob)), data + 2048}, uint32(evil.Entry), victim.SePCRHandle)
+	if err := cs.CPUWrite(0, forged.SECBRegion.Base, block); err != nil {
+		t.Fatal(err)
+	}
+	forged.State, forged.MeasuredFlag, forged.OwnerCPU = sksm.StateSuspend, true, victim.OwnerCPU
+
+	_, err = mg.RunSlice(sys.Machine.CPUs[2], forged)
+	if !errors.Is(err, sksm.ErrLaunchFailed) {
+		t.Fatalf("forged resume over the OS's own pages: %v (output %q), want a refused launch", err, forged.Output)
+	}
+	if len(forged.Output) != 0 {
+		t.Fatalf("the OS's code ran and output %q", forged.Output)
+	}
+	if err := mg.RunToCompletion(core1, victim); err != nil {
+		t.Fatalf("the victim cannot resume after the forged attempt: %v", err)
+	}
+}
+
+// Capability: the OS controls every SECB field. It names a suspended
+// victim's pages — NONE, holding the victim's secret and saved registers —
+// in a SECB of its own and first-launches it. The victim's code would exit
+// at once on no input, and SFREE would hand every page back in ALL, secret
+// and all. A first launch may claim only ALL pages (Fig. 5(b)), so SLAUNCH
+// refuses, the pages stay NONE, and the victim still resumes.
+func TestFirstLaunchOverSuspendedPAL(t *testing.T) {
+	sys := osCores(t)
+	mg, cs := sys.SKSM, sys.Machine.Chipset
+	victim, err := mg.NewSECB(pal.MustBuild(`
+	ldi	r0, buf
+	ldi	r1, 16
+	svc	7		; read input
+	ldi	r1, 0
+	cmp	r0, r1
+	jz	done		; no input, nothing to do
+	ldi	r0, secret
+	ldi	r1, 32
+	svc	5		; a TPM-random secret
+	svc	1		; yield with the secret in its pages
+	ldi	r0, secret
+	ldi	r1, 0
+	ldi	r2, 32
+w:	storeb	r1, [r0]
+	addi	r0, 1
+	addi	r2, -1
+	ldi	r3, 0
+	cmp	r2, r3
+	jnz	w
+done:	ldi	r0, 0
+	svc	0
+buf:	.space 16
+secret:	.space 32
+stack:	.space 64
+`), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim.Input = []byte("go")
+	core1 := sys.Machine.CPUs[1]
+	if _, err := mg.RunSlice(core1, victim); err != nil {
+		t.Fatal(err)
+	}
+	if victim.State != sksm.StateSuspend {
+		t.Fatalf("victim %v, want suspended", victim.State)
+	}
+
+	forged := &sksm.SECB{Region: victim.Region, SECBRegion: victim.SECBRegion, SePCRHandle: -1, OwnerCPU: -1}
+	_, err = mg.RunSlice(sys.Machine.CPUs[2], forged)
+	if !errors.Is(err, sksm.ErrLaunchFailed) {
+		t.Fatalf("first launch over a suspended PAL's pages: %v (SECB %v), want a refused launch", err, forged.State)
+	}
+	if st, err := cs.RegionState(mem.Region{Base: victim.SECBRegion.Base, Size: victim.SECBRegion.Size + victim.Region.Size}); err != nil || st != mem.AccessNone {
+		t.Fatalf("victim pages %v (%v) after the attempt, want NONE", st, err)
+	}
+	if _, err := cs.CPURead(0, victim.Region.Base, victim.Region.Size); !errors.Is(err, mem.ErrDenied) {
+		t.Fatalf("OS read the suspended victim's pages: %v", err)
+	}
+	if err := mg.RunToCompletion(core1, victim); err != nil {
+		t.Fatalf("the victim cannot resume after the attempt: %v", err)
 	}
 }
 
