@@ -1,8 +1,8 @@
 # Tier-1 verification lives here: `make check` is what CI and the roadmap
 # run. The race pass covers the packages with real concurrency — the PAL
 # service and the remote-attestation protocol — plus the memory and CPU
-# cores, whose decode caches are shared across goroutines, and the
-# process-global caches: the TPM's measurement cache and crypto memo, used
+# cores, which every service worker drives under its machine's lock, and
+# the process-global caches: the TPM's measurement cache and crypto memo, used
 # by every service worker, and the experiments' lab machines, which
 # concurrent regenerations take in turn. It also covers the profiler, whose
 # aggregation root is shared across machines, and the chaos injector, whose
@@ -87,10 +87,12 @@ soak-short:
 		CHAOS_SOAK_SEED=$(CHAOS_SOAK_SEED) \
 		$(GO) test -count 1 -run TestSoakZeroLossUnderChaos ./internal/palsvc
 
-# fuzz-short runs three fuzzers for 10 s each: those of the two decoders
+# fuzz-short runs four fuzzers for 10 s each: those of the two decoders
 # that take bytes from the network, palsvc's run frames and attest's batch
-# quotes, and mem's FuzzPageTable, which drives the §5.2 page table in
-# lockstep with a dense reference model. `make test` runs only their seed
+# quotes; mem's FuzzPageTable, which drives the §5.2 page table in
+# lockstep with a dense reference model; and isa's FuzzExecDifferential,
+# which runs any program under two preemption schedules and requires the
+# same result from both. `make test` runs only their seed
 # corpora. The fuzzer writes a crashing input under the package's
 # testdata/fuzz/; commit it with the fix, and every later `make test`
 # replays it as a seed. Minimizing each new interesting input is capped at
@@ -100,6 +102,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunFrame$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/palsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyBatchedQuote$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/attest
 	$(GO) test -run '^$$' -fuzz '^FuzzPageTable$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzExecDifferential$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/isa
 
 # cluster-soak is the fleet-level acceptance run (see docs/CLUSTER.md): a
 # palrouter-shaped Router over three chaos-injected backends under

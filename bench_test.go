@@ -232,17 +232,12 @@ func BenchmarkAblation_CrossPlatform(b *testing.B) {
 	}
 }
 
-// benchExec measures raw PAL execution on one core: a compute loop run to
-// completion per iteration, with the threaded-code tier on or off. The pair
-// is the direct interpreter-vs-compiled comparison; everything above it
-// (Table1, Impact, Service_*) measures the tier folded into full workloads.
-func benchExec(b *testing.B, compile bool) {
-	b.Helper()
-	// The hot block is store-free: a store would dirty the block's own
-	// page every iteration (code and data share this small image), which
-	// the tier correctly answers by poisoning the block — that bailout
-	// path has its own differential tests, but it is not the steady state
-	// this benchmark is after.
+// BenchmarkExec_Interpreter measures raw PAL execution on one core: a
+// 400-iteration compute loop run to completion per iteration, each
+// instruction an access-checked fetch, a decode and an opcode dispatch.
+// Everything above it (Table1, Impact, Service_*) measures the interpreter
+// folded into full workloads.
+func BenchmarkExec_Interpreter(b *testing.B) {
 	image := pal.MustBuild(`
 		ldi	r1, acc
 		ldi	r0, 0
@@ -266,41 +261,19 @@ func benchExec(b *testing.B, compile bool) {
 		b.Fatal(err)
 	}
 	c.Reset()
-	c.SetBlockCompile(compile)
 	region := mem.Region{Base: 0x4000, Size: image.Len()}
-	run := func() {
+	start := c.Retired
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		c.EnterRegion(region, image.Entry)
 		if reason, err := c.Run(0); err != nil || reason != cpu.StopHalt {
 			b.Fatalf("run stopped %v: %v", reason, err)
 		}
 	}
-	// Warm until every leader is past the heat threshold and compiled, so
-	// the timed loop measures the steady state of the chosen tier.
-	for i := 0; i < 32; i++ {
-		run()
-	}
-	start := c.Retired
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
 	b.StopTimer()
 	instrs := c.Retired - start
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
-	if st := c.TCodeStatsSnapshot(); compile && st.Execs == 0 {
-		b.Fatal("compiled benchmark never executed a compiled block")
-	} else if !compile && st.Execs != 0 {
-		b.Fatal("interpreter benchmark executed compiled blocks")
-	}
 }
-
-// BenchmarkExec_Interpreter is the pure-interpreter baseline: per-instruction
-// fetch, decode-cache lookup, and opcode dispatch.
-func BenchmarkExec_Interpreter(b *testing.B) { benchExec(b, false) }
-
-// BenchmarkExec_ThreadedCode runs the same loop from compiled
-// superinstruction closures.
-func BenchmarkExec_ThreadedCode(b *testing.B) { benchExec(b, true) }
 
 // benchService builds the multi-tenant PAL service used by the
 // BenchmarkService_* benchmarks: recommended HP dc5750, sePCR bank of 8.
@@ -319,8 +292,9 @@ func benchService(b *testing.B, mods ...func(*palsvc.Config)) *palsvc.Service {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One warm job primes the one-time caches (decode cache, memory
-	// chunks, buffer pools) so the timed loop measures steady state.
+	// One warm job primes the one-time caches (image and measurement
+	// caches, memory chunks, buffer pools) so the timed loop measures
+	// steady state.
 	if res, err := s.Run(palsvc.Job{Name: "warm", Source: benchPAL, NoAttest: true}); err != nil || res.Err != nil {
 		b.Fatal(err, res.Err)
 	}

@@ -63,7 +63,6 @@ func main() {
 		deadline    = flag.Duration("deadline", 0, "default per-job deadline (0 = none)")
 		connTimeout = flag.Duration("conn-timeout", 30*time.Second, "per-request connection deadline (0 = none)")
 		reject      = flag.Bool("reject", false, "reject (not queue) jobs when the sePCR bank is exhausted")
-		blockComp   = flag.Bool("block-compile", true, "compile hot basic blocks into threaded code (disable to force pure interpretation)")
 		batchSize   = flag.Int("quote-batch", 0, "batch up to N completed jobs per attestation quote (one AIK signature per batch, verified over a per-machine session); 0 or 1 attests each job as a batch of one")
 
 		chaosProfile = flag.String("chaos-profile", "", "fault-injection profile: off|light|heavy|tpm|storm|soak, optionally with k=v overrides (e.g. \"soak,tpm_fail=0.1\"); \"\" disables chaos")
@@ -103,7 +102,6 @@ func main() {
 	}
 	svcCfg := serviceConfig(*machines, *sePCRs, *workers, *queueDepth,
 		*quantum, *keyBits, *seed, *deadline, *reject)
-	svcCfg.DisableBlockCompile = !*blockComp
 	svcCfg.Batch = palsvc.BatchPolicy{MaxSize: *batchSize}
 	if err := applyChaos(&svcCfg, *chaosProfile, *chaosSeed); err != nil {
 		fmt.Fprintf(os.Stderr, "palservd: %v\n", err)

@@ -10,10 +10,8 @@
 // Usage:
 //
 //	tcbprof [-f profile.json] [-top N]
-//	    Print the per-tenant totals, the compiled-vs-interpreted tier
-//	    split (cycles retired inside threaded-code blocks vs. by the
-//	    interpreter), and the N hottest basic blocks across all images
-//	    (default 10).
+//	    Print the per-tenant totals and the N hottest basic blocks
+//	    across all images (default 10).
 //
 //	tcbprof -f profile.json -annotate <image-hash-prefix>
 //	    Print the annotated disassembly of matching image(s): per-line

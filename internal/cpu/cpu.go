@@ -146,23 +146,6 @@ type CPU struct {
 	tracer  Tracer
 	prof    Profiler
 	Retired int64 // instructions executed (statistics)
-
-	// Decoded-instruction cache (decodecache.go). Lazily allocated;
-	// private to the goroutine driving this core.
-	dcache    []decodeEntry
-	decodeOff bool
-	dstats    DecodeCacheStats
-
-	// Threaded-code tier (tcode.go): compiled basic blocks, leader heat
-	// counters, and the profiler's compiled-tier hook. Lazily allocated
-	// and, like dcache, private to the goroutine driving the core; the
-	// statistics counters alone are updated atomically so metrics scrapes
-	// can read them without the machine lock.
-	bcache   []*blockEntry
-	bheat    []heatEntry
-	tcodeOff bool
-	bprof    BlockProfiler
-	tstats   tcodeCounters
 }
 
 // Tracer observes each instruction before it executes, for debugging
@@ -182,28 +165,10 @@ type Profiler interface {
 	RetireInstr(pc uint32, op isa.Opcode, cost time.Duration)
 }
 
-// BlockProfiler is the optional extension a Profiler may implement to
-// distinguish instructions retired through the threaded-code tier
-// (tcode.go) from interpreted ones. The arguments carry exactly what
-// RetireInstr would have received for the same instruction; a profiler
-// that does not implement it sees compiled retirements through
-// RetireInstr and cannot tell the tiers apart.
-type BlockProfiler interface {
-	Profiler
-	RetireCompiled(pc uint32, op isa.Opcode, cost time.Duration)
-}
-
 // SetProfiler installs (or, with nil, removes) the cycle profiler. Like
 // the SVC handler it is execution-context state: ClearMicroarchState
 // removes it, and the launching microcode reinstalls it per PAL.
-func (c *CPU) SetProfiler(p Profiler) {
-	c.prof = p
-	if bp, ok := p.(BlockProfiler); ok {
-		c.bprof = bp
-	} else {
-		c.bprof = nil
-	}
-}
+func (c *CPU) SetProfiler(p Profiler) { c.prof = p }
 
 // New creates a core attached to a chipset.
 func New(id int, params Params, chip *chipset.Chipset) *CPU {
@@ -233,14 +198,6 @@ func (c *CPU) Reset() {
 	c.IntrEnabled = false
 	c.region = mem.Region{}
 	c.clearIDT()
-	// The decode cache survives Reset: entries are validated against the
-	// page's version counter on every hit, so stale decodes are already
-	// impossible, and the cache holds no architectural state (the decoded
-	// form is a pure function of the bytes it was decoded from). Dropping
-	// it here would cost a fresh 64 KB allocation per launch on cores the
-	// OS resets between PAL runs. Compiled blocks (tcode.go) survive for
-	// the same reason: every lookup revalidates the block's region, page
-	// versions, and — when versions moved — its exact bytes.
 }
 
 // EnterRegion begins executing at entry within region, with the stack
@@ -292,7 +249,6 @@ func (c *CPU) ClearMicroarchState() {
 	c.region = mem.Region{}
 	c.svc = nil
 	c.prof = nil
-	c.bprof = nil
 	c.IntrEnabled = false
 	c.clearIDT()
 }

@@ -22,33 +22,9 @@ import (
 // atomically from the scheduler's viewpoint.
 func (c *CPU) Run(quantum time.Duration) (StopReason, error) {
 	var elapsed time.Duration
-	// atLeader tracks whether PC sits at a basic-block boundary (Run
-	// entry or the target of a control transfer) — the only places the
-	// threaded-code tier (tcode.go) is consulted. Compiled blocks are
-	// keyed by their leader, so looking up mid-block PCs would only waste
-	// a probe per sequential instruction.
-	atLeader := true
 	for {
 		if quantum > 0 && elapsed >= quantum {
 			return StopPreempted, nil
-		}
-		if atLeader && !c.tcodeOff && c.tracer == nil {
-			if e := c.blockFor(quantum, elapsed); e != nil {
-				executed, err := c.runBlock(e)
-				// Block-granular charging: one Advance for every
-				// instruction that retired. Nothing observed the clock
-				// between them — SVC and HALT terminate blocks at
-				// compile time — so this is bit-identical to the
-				// interpreter's per-instruction Advance.
-				cost := time.Duration(executed) * c.Params.InstrCost
-				c.Clock().Advance(cost)
-				elapsed += cost
-				c.Retired += int64(executed)
-				if err != nil {
-					return StopFault, err
-				}
-				continue
-			}
 		}
 		in, err := c.fetch()
 		if err != nil {
@@ -64,15 +40,10 @@ func (c *CPU) Run(quantum time.Duration) (StopReason, error) {
 			c.prof.RetireInstr(c.PC, in.Op, c.Params.InstrCost)
 		}
 
-		next := c.PC + isa.WordSize
 		action, err := c.execute(in)
 		if err != nil {
 			return StopFault, err
 		}
-		// Control transfers land on leaders; so does the instruction
-		// after an SVC, since blocks are compiled up to (not through)
-		// service calls.
-		atLeader = c.PC != next || in.Op == isa.OpSvc
 		switch action {
 		case SvcExit:
 			return StopHalt, nil
@@ -82,15 +53,19 @@ func (c *CPU) Run(quantum time.Duration) (StopReason, error) {
 	}
 }
 
-// fetch decodes the instruction at PC, through the decode cache when it is
-// enabled (decodecache.go). The region bounds check runs on every fetch
-// regardless; only the access-table consultation and decode are cached.
+// fetch reads and decodes the instruction at PC. It is the same
+// access-checked read as every load: the region bounds check, then the
+// chipset's consultation of the page's access-control entry (§5.2).
 func (c *CPU) fetch() (isa.Instruction, error) {
 	phys, err := c.translate(c.PC, isa.WordSize)
 	if err != nil {
 		return isa.Instruction{}, fmt.Errorf("%w: fetch at pc=%d: %v", ErrFault, c.PC, err)
 	}
-	in, err := c.fetchCached(phys)
+	word, err := c.chip.CPUReadWord(c.ID, phys)
+	if err != nil {
+		return isa.Instruction{}, fmt.Errorf("%w: pc=%d: %v", ErrFault, c.PC, err)
+	}
+	in, err := isa.Decode(word)
 	if err != nil {
 		return isa.Instruction{}, fmt.Errorf("%w: pc=%d: %v", ErrFault, c.PC, err)
 	}

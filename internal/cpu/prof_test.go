@@ -98,7 +98,7 @@ func TestProfilerDifferential(t *testing.T) {
 	v:	.word 0
 	`)
 	on, csOn := runImageProfiled(t, image, &fakeProfiler{})
-	off, csOff := runImage(t, image, true)
+	off, csOff := runImage(t, image)
 	sameArchState(t, on, off, csOn, csOff)
 	if on.Retired != off.Retired {
 		t.Fatalf("retired diverge: %d vs %d", on.Retired, off.Retired)
@@ -127,9 +127,9 @@ func TestProfilerClearedWithMicroarchState(t *testing.T) {
 }
 
 // TestRunSteadyStateAllocsProfilerOff pins the profiler-off cost of the
-// full fetch/execute loop: with no profiler installed and the decode cache
-// warm, re-running a program end to end must not allocate — the PR 3
-// zero-allocation gate extended over the new nil check.
+// full fetch/execute loop: with no profiler installed, re-running a
+// program end to end must not allocate — the zero-allocation gate
+// extended over the profiler's nil check.
 func TestRunSteadyStateAllocsProfilerOff(t *testing.T) {
 	image := pal.MustBuild(`
 		ldi	r0, 0
@@ -147,16 +147,6 @@ func TestRunSteadyStateAllocsProfilerOff(t *testing.T) {
 	}
 	c.Reset()
 	region := mem.Region{Base: 0x4000, Size: image.Len()}
-	// Warm until every leader is past blockHeatMin: the decode cache fills
-	// on the first pass, and the threaded-code tier must finish compiling
-	// before the timed runs or its one-time allocations would be charged
-	// to the steady state.
-	for i := 0; i < 3*blockHeatMin; i++ {
-		c.EnterRegion(region, image.Entry)
-		if reason, err := c.Run(0); err != nil || reason != StopHalt {
-			t.Fatalf("warm run: %v %v", reason, err)
-		}
-	}
 	var (
 		reason StopReason
 		err    error

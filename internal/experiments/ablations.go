@@ -275,34 +275,36 @@ func AblationFigure2CrossPlatform(cfg Config) ([]CrossPlatformRow, error) {
 	for _, p := range machines {
 		p.KeyBits = cfg.KeyBits
 		p.Seed = cfg.Seed
-		m, err := platform.New(p)
-		if err != nil {
-			return nil, err
-		}
-		rt := sea.NewRuntime(osker.NewKernel(m))
-		gen, err := rt.RunPALGen()
-		if err != nil {
-			return nil, fmt.Errorf("%s: PAL Gen: %w", p.Name, err)
-		}
-		_, qd, err := rt.Quote([]byte("xplat nonce"))
-		if err != nil {
-			return nil, err
-		}
-		useImage := sea.BuildPALUse(true)
-		prior, err := rt.SealForImage(useImage, make([]byte, sea.GenPayload))
-		if err != nil {
-			return nil, err
-		}
-		use, err := rt.RunPALUse(prior, true)
-		if err != nil {
-			return nil, fmt.Errorf("%s: PAL Use: %w", p.Name, err)
-		}
-		out = append(out, CrossPlatformRow{
-			Machine: p.Name,
-			PALGen:  gen.Total,
-			Quote:   qd,
-			PALUse:  use.Total,
+		err := withLab(p, func(l *lab) error {
+			rt := sea.NewRuntime(l.k)
+			gen, err := rt.RunPALGen()
+			if err != nil {
+				return fmt.Errorf("%s: PAL Gen: %w", p.Name, err)
+			}
+			_, qd, err := rt.Quote([]byte("xplat nonce"))
+			if err != nil {
+				return err
+			}
+			useImage := sea.BuildPALUse(true)
+			prior, err := rt.SealForImage(useImage, make([]byte, sea.GenPayload))
+			if err != nil {
+				return err
+			}
+			use, err := rt.RunPALUse(prior, true)
+			if err != nil {
+				return fmt.Errorf("%s: PAL Use: %w", p.Name, err)
+			}
+			out = append(out, CrossPlatformRow{
+				Machine: p.Name,
+				PALGen:  gen.Total,
+				Quote:   qd,
+				PALUse:  use.Total,
+			})
+			return nil
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -335,23 +337,25 @@ func AblationSealPayload(cfg Config, payloads []int) ([]SealPayloadPoint, error)
 	}
 	p := platform.HPdc5750()
 	p.KeyBits = cfg.KeyBits
-	m, err := platform.New(p)
+	var out []SealPayloadPoint
+	err := withLab(p, func(l *lab) error {
+		clock, chip := l.m.Clock, l.m.TPM()
+		for _, n := range payloads {
+			// Average a few trials to smooth profile jitter.
+			var total time.Duration
+			for trial := 0; trial < cfg.Trials; trial++ {
+				start := clock.Now()
+				if _, err := chip.Seal(tpm.Selection{0}, make([]byte, n)); err != nil {
+					return err
+				}
+				total += clock.Now() - start
+			}
+			out = append(out, SealPayloadPoint{Payload: n, Latency: total / time.Duration(cfg.Trials)})
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	chip := m.TPM()
-	var out []SealPayloadPoint
-	for _, n := range payloads {
-		// Average a few trials to smooth profile jitter.
-		var total time.Duration
-		for trial := 0; trial < cfg.Trials; trial++ {
-			start := m.Clock.Now()
-			if _, err := chip.Seal(tpm.Selection{0}, make([]byte, n)); err != nil {
-				return nil, err
-			}
-			total += m.Clock.Now() - start
-		}
-		out = append(out, SealPayloadPoint{Payload: n, Latency: total / time.Duration(cfg.Trials)})
 	}
 	return out, nil
 }

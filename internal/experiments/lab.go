@@ -23,11 +23,14 @@ type lab struct {
 }
 
 // labs caches one lab per platform.Profile for every experiment: Table 1,
-// Figures 2 and 3, Table 2, §5.7's impact and the launch ablations. A
-// profile is a plain value struct, so it is the key itself; two profiles
-// that differ only in bus timing (the TPM-wait ablation) get distinct
-// machines, and experiments that name the same profile share one (the HP
-// dc5750 at a seed serves Table 1, Figures 2 and 3 and the impact).
+// Figures 2 and 3, Table 2, §5.7's impact, the launch ablations and the
+// cross-platform and seal-payload ablations. A profile is a plain value
+// struct, so it is the key itself; two profiles that differ only in bus
+// timing (the TPM-wait ablation) get distinct machines, and experiments
+// that name the same profile share one (the HP dc5750 at a seed serves
+// Table 1, Figures 2 and 3, the impact and the cross-platform ablation).
+// The sePCR-count, quantum, two-stage and concurrency experiments build
+// their own machines: the sePCR-count sweep leaves its PALs suspended.
 //
 // A lab replays a freshly built machine bit for bit:
 //   - acquiring it powers its TPM on (tpm.TPM.Boot), which rewinds the

@@ -15,8 +15,9 @@ func resetLabs() {
 	labs.Unlock()
 }
 
-// labExperiments are the experiments VerifyAll runs, each of which takes
-// its machines from the lab cache.
+// labExperiments are the experiments VerifyAll runs and the two ablations
+// that share their machines, each of which takes its machines from the lab
+// cache.
 var labExperiments = []struct {
 	name string
 	run  func(Config) (any, error)
@@ -26,6 +27,8 @@ var labExperiments = []struct {
 	{"Figure3", func(c Config) (any, error) { return Figure3(c) }},
 	{"Table2", func(c Config) (any, error) { return Table2(c) }},
 	{"Impact", func(c Config) (any, error) { return Impact(c) }},
+	{"CrossPlatform", func(c Config) (any, error) { return AblationFigure2CrossPlatform(c) }},
+	{"SealPayload", func(c Config) (any, error) { return AblationSealPayload(c, nil) }},
 }
 
 // figure2Trials is what Figure 2 reports for trials trials that each
@@ -45,7 +48,7 @@ func figure2Trials(one []Figure2Bar, trials int) []Figure2Bar {
 
 // TestLabsReplayFreshMachines: a lab is as good as a freshly built
 // machine. Each experiment gives the same result on machines built for it
-// as on labs the other four have just used (in reverse order). And every
+// as on labs the others have just used (in reverse order). And every
 // Figure 2 trial gives what one trial on a freshly built machine gives, as
 // the paper's trials on freshly powered platforms do.
 func TestLabsReplayFreshMachines(t *testing.T) {

@@ -14,30 +14,26 @@ import (
 )
 
 // FuzzExecDifferential is the executable extension of the ISA fuzz harness:
-// any byte string, run as a program, must behave bit-identically under the
-// interpreter and the threaded-code tier — registers, memory, flags, the
-// virtual clock, retirement counts, stop reasons, and fault PCs/messages
-// all included.
+// any byte string, run as a program, must compute the same thing wherever
+// the preemption timer fires. World A runs it in slices of k instructions,
+// resuming after each preemption, for up to 64 slices; world B runs it
+// once with a quantum of 64·k instructions. Both must end with the same
+// stop reason, error text, PC, registers, flags, retirement count, virtual
+// clock and memory. This is the interrupt-placement property of Busi et
+// al.'s interruptible enclaves (PAPERS.md), checked at the core: where the
+// timer fires must not change what the PAL computes.
 //
-// The harness deliberately stresses the tier's hard cases:
-//
-//   - Programs run repeatedly, so leaders cross the heat threshold and the
-//     later passes execute compiled blocks.
-//   - Execution is driven in quantum slices, so blocks are preempted
-//     mid-stream and must bail to the interpreter at the exact instruction
-//     the timer hits.
-//   - Stores land anywhere in the region, including over the program's own
-//     instructions, exercising mid-block invalidation and recompilation.
-//   - Undecodable words and runtime faults (division by zero, stack
-//     over/underflow, out-of-region accesses) must surface the identical
-//     error at the identical PC.
+// Stores land anywhere in the region, including over the program's own
+// instructions, and undecodable words and runtime faults (division by
+// zero, stack over/underflow, out-of-region accesses) must surface the
+// identical error at the identical PC in both worlds.
 //
 // This lives in package isa_test (not isa) because it needs the cpu
 // package, which imports isa.
 func FuzzExecDifferential(f *testing.F) {
 	enc := func(prog ...isa.Instruction) []byte { return isa.EncodeProgram(prog) }
 
-	// A hot loop with a fused cmp+branch.
+	// A counted loop.
 	f.Add(enc(
 		isa.Instruction{Op: isa.OpLdi, RA: 0, Imm: 0},
 		isa.Instruction{Op: isa.OpLdi, RA: 1, Imm: 30},
@@ -70,7 +66,7 @@ func FuzzExecDifferential(f *testing.F) {
 		isa.Instruction{Op: isa.OpJmp, Imm: 8},
 	), uint32(0), uint32(0), uint8(5))
 
-	// Stack traffic: call/ret plus fused pop pairs.
+	// Stack traffic: call/ret plus push/pop pairs.
 	f.Add(enc(
 		isa.Instruction{Op: isa.OpLdi, RA: 0, Imm: 7},
 		isa.Instruction{Op: isa.OpCall, Imm: 16},
@@ -85,6 +81,13 @@ func FuzzExecDifferential(f *testing.F) {
 
 	// Raw garbage: must fault identically.
 	f.Add([]byte{0xff, 0x13, 0x22, 0x9c, 0x01, 0x02}, uint32(1), uint32(2), uint8(2))
+
+	// Never halts: both worlds must stop preempted after exactly 64·k
+	// instructions.
+	f.Add(enc(
+		isa.Instruction{Op: isa.OpAddi, RA: 0, Imm: 1},
+		isa.Instruction{Op: isa.OpJmp, Imm: 0},
+	), uint32(0), uint32(0), uint8(6))
 
 	f.Fuzz(func(t *testing.T, prog []byte, r0, r1 uint32, qsel uint8) {
 		if len(prog) == 0 || len(prog) > 256*isa.WordSize {
@@ -103,7 +106,7 @@ func FuzzExecDifferential(f *testing.F) {
 			c  *cpu.CPU
 			cs *chipset.Chipset
 		}
-		mk := func(compile bool) machine {
+		mk := func() machine {
 			clock := sim.NewClock()
 			cs := chipset.New(clock, mem.New(16*mem.PageSize), lpc.NewBus(clock, lpc.FullSpeed()), nil)
 			c := cpu.New(0, cpu.ParamsAMDdc5750(), cs)
@@ -111,70 +114,61 @@ func FuzzExecDifferential(f *testing.F) {
 				t.Fatal(err)
 			}
 			c.Reset()
-			c.SetBlockCompile(compile)
+			c.EnterRegion(mem.Region{Base: base, Size: size}, 0)
+			c.Regs[0], c.Regs[1] = r0, r1
 			return machine{c, cs}
 		}
-		on, off := mk(true), mk(false)
-		region := mem.Region{Base: base, Size: size}
+		sliced, whole := mk(), mk()
 
-		// quantum 0 would never preempt an infinite loop; always slice.
-		quantum := time.Duration(1+int(qsel%32)) * cpu.ParamsAMDdc5750().InstrCost
+		// k instructions per slice; a quantum of 0 would never preempt
+		// an infinite loop, so k is at least one. Slices are capped so
+		// looping inputs terminate.
+		const maxSlices = 64
+		k := time.Duration(1 + int(qsel%32))
+		instr := cpu.ParamsAMDdc5750().InstrCost
 
-		// Drive both machines through identical slices for several passes:
-		// early passes heat the leaders, later ones execute compiled
-		// blocks. Slices are capped so looping fuzz inputs terminate.
-		const passes, maxSlices = 12, 64
-		for pass := 0; pass < passes; pass++ {
-			for _, m := range []machine{on, off} {
-				m.c.EnterRegion(region, 0)
-				m.c.Regs[0], m.c.Regs[1] = r0, r1
-			}
-			for slice := 0; slice < maxSlices; slice++ {
-				reasonOn, errOn := on.c.Run(quantum)
-				reasonOff, errOff := off.c.Run(quantum)
-				if reasonOn != reasonOff {
-					t.Fatalf("pass %d slice %d: stop reasons diverge: compiled %v, interpreted %v",
-						pass, slice, reasonOn, reasonOff)
-				}
-				if (errOn == nil) != (errOff == nil) ||
-					(errOn != nil && errOn.Error() != errOff.Error()) {
-					t.Fatalf("pass %d slice %d: errors diverge:\n  compiled    %v\n  interpreted %v",
-						pass, slice, errOn, errOff)
-				}
-				if on.c.PC != off.c.PC {
-					t.Fatalf("pass %d slice %d: PC diverges: compiled %d, interpreted %d",
-						pass, slice, on.c.PC, off.c.PC)
-				}
-				if on.c.Regs != off.c.Regs {
-					t.Fatalf("pass %d slice %d: registers diverge:\n  compiled    %v\n  interpreted %v",
-						pass, slice, on.c.Regs, off.c.Regs)
-				}
-				if on.c.FlagZ != off.c.FlagZ || on.c.FlagC != off.c.FlagC || on.c.FlagN != off.c.FlagN {
-					t.Fatalf("pass %d slice %d: flags diverge", pass, slice)
-				}
-				if on.c.Retired != off.c.Retired {
-					t.Fatalf("pass %d slice %d: retirement counts diverge: compiled %d, interpreted %d",
-						pass, slice, on.c.Retired, off.c.Retired)
-				}
-				if on.c.Clock().Now() != off.c.Clock().Now() {
-					t.Fatalf("pass %d slice %d: virtual clocks diverge: compiled %v, interpreted %v",
-						pass, slice, on.c.Clock().Now(), off.c.Clock().Now())
-				}
-				if reasonOn != cpu.StopPreempted {
-					break // halted, yielded, or faulted — identically
-				}
+		var reasonA cpu.StopReason
+		var errA error
+		for slice := 0; slice < maxSlices; slice++ {
+			reasonA, errA = sliced.c.Run(k * instr)
+			if reasonA != cpu.StopPreempted {
+				break // halted, yielded, or faulted
 			}
 		}
-		mOn, err := on.cs.Memory().ReadRaw(0, 16*mem.PageSize)
+		reasonB, errB := whole.c.Run(maxSlices * k * instr)
+
+		a, b := sliced.c, whole.c
+		if reasonA != reasonB {
+			t.Fatalf("stop reasons diverge: sliced %v, whole %v", reasonA, reasonB)
+		}
+		if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
+			t.Fatalf("errors diverge:\n  sliced %v\n  whole  %v", errA, errB)
+		}
+		if a.PC != b.PC {
+			t.Fatalf("PC diverges: sliced %d, whole %d", a.PC, b.PC)
+		}
+		if a.Regs != b.Regs {
+			t.Fatalf("registers diverge:\n  sliced %v\n  whole  %v", a.Regs, b.Regs)
+		}
+		if a.FlagZ != b.FlagZ || a.FlagC != b.FlagC || a.FlagN != b.FlagN {
+			t.Fatal("flags diverge")
+		}
+		if a.Retired != b.Retired {
+			t.Fatalf("retirement counts diverge: sliced %d, whole %d", a.Retired, b.Retired)
+		}
+		if a.Clock().Now() != b.Clock().Now() {
+			t.Fatalf("virtual clocks diverge: sliced %v, whole %v", a.Clock().Now(), b.Clock().Now())
+		}
+		mA, err := sliced.cs.Memory().ReadRaw(0, 16*mem.PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mOff, err := off.cs.Memory().ReadRaw(0, 16*mem.PageSize)
+		mB, err := whole.cs.Memory().ReadRaw(0, 16*mem.PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(mOn, mOff) {
-			t.Fatal("memory contents diverge between compiled and interpreted runs")
+		if !bytes.Equal(mA, mB) {
+			t.Fatal("memory contents diverge between sliced and whole runs")
 		}
 	})
 }

@@ -24,10 +24,8 @@
 // docs/PERFORMANCE.md).
 //
 // Every page additionally carries a version counter, bumped on any write,
-// zeroing, or access-control transition touching the page. The CPU's
-// decoded-instruction cache keys on it: a matching version proves both that
-// the bytes under a cached instruction are unchanged and that the access
-// check performed when the entry was filled is still valid.
+// zeroing, or access-control transition touching the page. Crash bundles
+// report it for each page of the faulting PAL's region.
 package mem
 
 import (
@@ -96,8 +94,7 @@ var ErrDenied = errors.New("mem: access denied by access-control table")
 type pageMeta struct {
 	// state is the access-control entry (Figure 5(b)).
 	state PageState
-	// ver counts content and access-control changes to the page; the
-	// CPU decode cache validates entries against it.
+	// ver counts content and access-control changes to the page.
 	ver uint32
 	// shares is a bitmask of additional CPUs granted access while the
 	// page is CPU-owned — the §6 "multicore PALs" extension. Meaningful

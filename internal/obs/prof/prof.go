@@ -20,9 +20,7 @@
 //     lock-free: like the simulator itself it is single-threaded by
 //     design, touched only under whatever lock serializes the machine
 //     (palsvc's per-machine mutex). The interpreter hook
-//     (cpu.Profiler) lands here. Works identically with the decoded-
-//     instruction cache on or off: the hook observes retirement, not
-//     fetch.
+//     (cpu.Profiler) lands here.
 //   - Profiler is the thread-safe aggregation root shared by all
 //     machines: it hands out CPUProfilers and accumulates per-tenant
 //     totals (palsvc calls JobDone after each job).
@@ -84,11 +82,6 @@ type imageRec struct {
 	slices                   int64
 	preempts, yields, faults int64
 	quoteCalls, quoteVirtNs  int64
-
-	// Compiled-tier split: cycles and retirements attributed through
-	// the threaded-code tier (cpu.BlockProfiler) rather than the
-	// interpreter. Always a subset of the pcs totals.
-	compiledNs, compiledCount int64
 }
 
 // CPUProfiler collects exact per-instruction attribution for one machine.
@@ -102,18 +95,15 @@ type CPUProfiler struct {
 	cur    *imageRec
 }
 
-var (
-	_ cpu.Profiler      = (*CPUProfiler)(nil)
-	_ cpu.BlockProfiler = (*CPUProfiler)(nil)
-)
+var _ cpu.Profiler = (*CPUProfiler)(nil)
 
 // Enter begins attributing cycles to the image identified by hash —
 // called by sksm's SLAUNCH microcode when the PAL starts executing.
 // image is the SLB SLAUNCH measured, which the collector copies the first
-// time it sees hash (the launch reads it through a pooled buffer); a
-// resume, which follows a launch, passes none. regionSize is the PAL's
-// full memory region (code + data + stack); the program counter ranges
-// over it, not just over the image bytes.
+// time it sees hash (the launch passes a view of the PAL's memory, which
+// the PAL may overwrite); a resume, which follows a launch, passes none.
+// regionSize is the PAL's full memory region (code + data + stack); the
+// program counter ranges over it, not just over the image bytes.
 func (p *CPUProfiler) Enter(hash tpm.Digest, image pal.Image, regionSize int, resumed bool) {
 	if p == nil {
 		return
@@ -153,26 +143,6 @@ func (p *CPUProfiler) RetireInstr(pc uint32, op isa.Opcode, cost time.Duration) 
 		return
 	}
 	r := p.cur
-	i := int(pc / isa.WordSize)
-	if i >= len(r.pcs) {
-		return
-	}
-	e := &r.pcs[i]
-	e.cycles += int64(cost)
-	e.count++
-}
-
-// RetireCompiled is the threaded-code tier's hook (cpu.BlockProfiler):
-// identical attribution to RetireInstr — same (pc, op, cost) for the same
-// instruction — plus the compiled-vs-interpreted cycle split tcbprof -top
-// reports.
-func (p *CPUProfiler) RetireCompiled(pc uint32, op isa.Opcode, cost time.Duration) {
-	if p == nil || p.cur == nil {
-		return
-	}
-	r := p.cur
-	r.compiledNs += int64(cost)
-	r.compiledCount++
 	i := int(pc / isa.WordSize)
 	if i >= len(r.pcs) {
 		return
@@ -278,8 +248,6 @@ func (c *CPUProfiler) SnapshotInto(p *Profile) {
 		ip.Faults += r.faults
 		ip.QuoteCalls += r.quoteCalls
 		ip.QuoteVirtNs += r.quoteVirtNs
-		ip.CompiledCyclesNs += r.compiledNs
-		ip.CompiledRetired += r.compiledCount
 		for i := range r.pcs {
 			if r.pcs[i].count == 0 {
 				continue

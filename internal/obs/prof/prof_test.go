@@ -243,6 +243,24 @@ func TestProfileJSONRoundTripAndArtifacts(t *testing.T) {
 	}
 }
 
+// TestReadProfileIgnoresRemovedFields: a profile written when the core
+// still had a decode cache and a compiled tier carries their counters;
+// it must still load, with everything else intact.
+func TestReadProfileIgnoresRemovedFields(t *testing.T) {
+	old := `{"images":[{"image":"ab12","entry":16,"region_size":64,
+		"cycles_ns":90,"instructions":9,"compiled_cycles_ns":40,"compiled_retired":4,
+		"launches":1,"slices":1,"pcs":[{"pc":16,"cycles_ns":90,"count":9}]}],
+		"machines":[{"machine":0,"decode_hits":0,"decode_misses":12,"blocks_compiled":3}]}`
+	p, err := ReadProfile(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Images) != 1 || p.Images[0].Instructions != 9 || p.Images[0].CyclesNs != 90 ||
+		len(p.Images[0].PCs) != 1 {
+		t.Fatalf("old profile decoded as %+v", p.Images)
+	}
+}
+
 func hex4(v uint32) string {
 	const digits = "0123456789abcdef"
 	return string([]byte{digits[v>>12&0xf], digits[v>>8&0xf], digits[v>>4&0xf], digits[v&0xf]})

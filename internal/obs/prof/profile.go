@@ -18,30 +18,8 @@ import (
 type Profile struct {
 	Images  []*ImageProfile `json:"images"`
 	Tenants []TenantStats   `json:"tenants,omitempty"`
-	// Machines carries per-machine execution-engine statistics (decode
-	// cache, threaded-code tier) — state of the simulator, not of any
-	// one image, so it sits beside the attribution data.
-	Machines []MachineExecStats `json:"machines,omitempty"`
 
 	byHash map[string]*ImageProfile
-}
-
-// MachineExecStats is one machine's execution-engine counters, summed
-// over its CPUs: the decoded-instruction cache and the threaded-code
-// (block compile) tier.
-type MachineExecStats struct {
-	Machine int `json:"machine"`
-
-	DecodeHits             int64 `json:"decode_hits"`
-	DecodeMisses           int64 `json:"decode_misses"`
-	DecodeBoundarySkips    int64 `json:"decode_boundary_skips,omitempty"`
-	DecodeVersionEvictions int64 `json:"decode_version_evictions,omitempty"`
-
-	BlocksCompiled     int64 `json:"blocks_compiled"`
-	BlockExecs         int64 `json:"block_execs"`
-	CompiledInstrs     int64 `json:"compiled_instrs"`
-	BlockBailouts      int64 `json:"block_bailouts,omitempty"`
-	BlockInvalidations int64 `json:"block_invalidations,omitempty"`
 }
 
 // ImageProfile is one PAL image's merged attribution. Code carries the
@@ -55,19 +33,14 @@ type ImageProfile struct {
 
 	CyclesNs     int64 `json:"cycles_ns"`
 	Instructions int64 `json:"instructions"`
-	// CompiledCyclesNs and CompiledRetired are the subset of the totals
-	// retired through the threaded-code tier; the remainder ran in the
-	// interpreter.
-	CompiledCyclesNs int64 `json:"compiled_cycles_ns,omitempty"`
-	CompiledRetired  int64 `json:"compiled_retired,omitempty"`
-	Launches         int64 `json:"launches"`
-	Resumes          int64 `json:"resumes,omitempty"`
-	Slices           int64 `json:"slices"`
-	Preempts         int64 `json:"preempts,omitempty"`
-	Yields           int64 `json:"yields,omitempty"`
-	Faults           int64 `json:"faults,omitempty"`
-	QuoteCalls       int64 `json:"quote_calls,omitempty"`
-	QuoteVirtNs      int64 `json:"quote_virt_ns,omitempty"`
+	Launches     int64 `json:"launches"`
+	Resumes      int64 `json:"resumes,omitempty"`
+	Slices       int64 `json:"slices"`
+	Preempts     int64 `json:"preempts,omitempty"`
+	Yields       int64 `json:"yields,omitempty"`
+	Faults       int64 `json:"faults,omitempty"`
+	QuoteCalls   int64 `json:"quote_calls,omitempty"`
+	QuoteVirtNs  int64 `json:"quote_virt_ns,omitempty"`
 
 	PCs    []PCSample    `json:"pcs"`
 	Blocks []BlockSample `json:"blocks,omitempty"`
@@ -409,18 +382,6 @@ func (p *Profile) WriteSummary(w io.Writer, topN int) {
 	}
 	if len(p.Images) == 0 {
 		return
-	}
-	// Execution-tier split: how many of the charged cycles retired
-	// through compiled blocks vs the interpreter.
-	var total, compiled int64
-	for _, ip := range p.Images {
-		total += ip.CyclesNs
-		compiled += ip.CompiledCyclesNs
-	}
-	if total > 0 {
-		fmt.Fprintf(w, "tiers: compiled=%dns (%.1f%%) interpreted=%dns (%.1f%%)\n",
-			compiled, 100*float64(compiled)/float64(total),
-			total-compiled, 100*float64(total-compiled)/float64(total))
 	}
 	fmt.Fprintf(w, "top %d hot blocks:\n", topN)
 	p.WriteTopBlocks(w, topN)

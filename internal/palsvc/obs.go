@@ -3,7 +3,6 @@ package palsvc
 import (
 	"errors"
 
-	"minimaltcb/internal/cpu"
 	"minimaltcb/internal/obs"
 	"minimaltcb/internal/tpm"
 )
@@ -110,28 +109,6 @@ func (s *Service) bindRegistry(r *obs.Registry) {
 		func() float64 { return float64(tpm.CacheStats().CryptoHits) })
 	r.CounterFunc("palsvc_crypto_memo_misses_total", "Deterministic RSA memo misses (RSA operations run), process-wide.",
 		func() float64 { return float64(tpm.CacheStats().CryptoMisses) })
-	// Threaded-code tier counters: the CPU keeps them as atomics, so the
-	// scrape reads safely without taking any machine lock.
-	r.CounterFunc("palsvc_blocks_compiled_total", "Basic blocks compiled to threaded code across machines.",
-		func() float64 { return float64(s.tcodeStats(func(t cpu.TCodeStats) int64 { return t.Compiled })) })
-	r.CounterFunc("palsvc_block_bailouts_total", "Compiled-block bailouts to the interpreter (quantum budget or mid-block invalidation).",
-		func() float64 { return float64(s.tcodeStats(func(t cpu.TCodeStats) int64 { return t.Bailouts })) })
-	r.CounterFunc("palsvc_block_invalidations_total", "Compiled blocks discarded after content or permission changes.",
-		func() float64 { return float64(s.tcodeStats(func(t cpu.TCodeStats) int64 { return t.Invalidations })) })
-}
-
-// tcodeStats sums one threaded-code tier counter across every core of every
-// machine. The per-CPU counters are atomics, so the sum is safe to take from
-// a scrape goroutine without the machine locks; it is a consistent-enough
-// monotonic view for a counter time series.
-func (s *Service) tcodeStats(sel func(cpu.TCodeStats) int64) int64 {
-	var n int64
-	for _, mc := range s.machines {
-		for _, core := range mc.sys.Machine.CPUs {
-			n += sel(core.TCodeStatsSnapshot())
-		}
-	}
-	return n
 }
 
 // ErrorCode maps a job error to the stable cause string the wire protocol

@@ -468,8 +468,9 @@ func benchService(b *testing.B, cfg Config) *Service {
 		b.Fatal(err)
 	}
 	b.Cleanup(s.Close)
-	// One warm job primes the one-time caches (decode cache, memory
-	// chunks, buffer pools) so the timed loop measures steady state.
+	// One warm job primes the one-time caches (image and measurement
+	// caches, memory chunks, buffer pools) so the timed loop measures
+	// steady state.
 	if _, err := s.Run(Job{Name: "warm", Source: helloSource, NoAttest: true}); err != nil {
 		b.Fatal(err)
 	}

@@ -117,11 +117,6 @@ type Config struct {
 	// job (latency from submission to delivery, failure classification,
 	// exemplar trace ID). Nil costs a nil check on the delivery path.
 	SLO *obs.SLOTracker
-	// DisableBlockCompile turns the CPUs' threaded-code tier off on every
-	// replica, forcing pure interpretation — the differential-debugging
-	// escape hatch palservd exposes as -block-compile=false. The zero
-	// value keeps the tier on (the CPU default).
-	DisableBlockCompile bool
 	// Batch configures the per-machine quote batcher (batcher.go) every
 	// attested job goes through: completed jobs that are waiting when the
 	// batcher flushes are attested together, up to MaxSize, with one AIK
@@ -335,11 +330,6 @@ func New(cfg Config) (*Service, error) {
 			sys.Machine.InstallFaults(cfg.Chaos.TPMHook(i))
 			sys.SKSM.Chaos = cfg.Chaos.SKSMHook(i)
 			m.chaos = cfg.Chaos.MachineHook(i)
-		}
-		if cfg.DisableBlockCompile {
-			for _, core := range sys.Machine.CPUs {
-				core.SetBlockCompile(false)
-			}
 		}
 		m.basePages = sys.SKSM.Kernel.Alloc.FreePages()
 		s.machines = append(s.machines, m)

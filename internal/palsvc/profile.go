@@ -14,30 +14,12 @@ func (s *Service) Profile() *prof.Profile {
 		return nil
 	}
 	p := prof.NewProfile()
-	for i, m := range s.machines {
+	for _, m := range s.machines {
 		m.mu.Lock()
 		if m.prof != nil {
 			m.prof.SnapshotInto(p)
 		}
-		// Execution-engine counters summed over the machine's cores. The
-		// decode-cache stats are plain fields guarded by the machine lock
-		// we already hold; the threaded-code stats are atomics.
-		ms := prof.MachineExecStats{Machine: i}
-		for _, core := range m.sys.Machine.CPUs {
-			ds := core.DecodeCacheStatsSnapshot()
-			ms.DecodeHits += ds.Hits
-			ms.DecodeMisses += ds.Misses
-			ms.DecodeBoundarySkips += ds.BoundarySkips
-			ms.DecodeVersionEvictions += ds.VersionEvictions
-			ts := core.TCodeStatsSnapshot()
-			ms.BlocksCompiled += ts.Compiled
-			ms.BlockExecs += ts.Execs
-			ms.CompiledInstrs += ts.Instrs
-			ms.BlockBailouts += ts.Bailouts
-			ms.BlockInvalidations += ts.Invalidations
-		}
 		m.mu.Unlock()
-		p.Machines = append(p.Machines, ms)
 	}
 	s.cfg.Profiler.TenantsInto(p)
 	p.Finish()

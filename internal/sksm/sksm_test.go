@@ -1,7 +1,9 @@
 package sksm
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -502,5 +504,64 @@ func TestSealUnsealViaSePCRAcrossSessions(t *testing.T) {
 	}
 	if _, err := mg.Kernel.Machine.TPM().UnsealSePCR(s3.SePCRHandle, core2.ID, blob); err == nil {
 		t.Fatal("different PAL unsealed the blob")
+	}
+}
+
+// TestMemoryReuseAcrossImages: two different PALs alternate over the same
+// physical pages (the first-fit allocator reuses the freed range). Each
+// launch must run its own image, never what the previous tenant left in
+// those pages.
+func TestMemoryReuseAcrossImages(t *testing.T) {
+	const loop = `
+	ldi	r1, acc
+	ldi	r0, 0
+	ldi	r3, 40
+loop:	addi	r0, 1
+	load	r2, [r1]
+	add	r2, r0
+%s	store	r2, [r1]
+	cmp	r0, r3
+	jnz	loop
+	ldi	r0, acc
+	ldi	r1, 4
+	svc	6		; output the accumulator
+	ldi	r0, 0
+	svc	0
+acc:	.word 0
+stack:	.space 64
+`
+	// Same shape, different arithmetic: running the other image's code
+	// would show in the output at once.
+	a := pal.MustBuild(fmt.Sprintf(loop, ""))
+	b := pal.MustBuild(fmt.Sprintf(loop, "\tadd\tr2, r0\n"))
+	mg := newManager(t, 2)
+	core := mg.Kernel.Machine.CPUs[1]
+	var base uint32
+	for job := 0; job < 12; job++ {
+		image, want := a, 820 // sum 1..40
+		if job%2 == 1 {
+			image, want = b, 1640 // the doubled add
+		}
+		s, err := mg.NewSECB(image, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job == 0 {
+			base = s.Region.Base
+		} else if s.Region.Base != base {
+			t.Fatalf("job %d placed at %#x, want the reused %#x", job, s.Region.Base, base)
+		}
+		if err := mg.RunToCompletion(core, s); err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+		if _, err := quoteOne(mg, s, []byte("n")); err != nil { // frees the sePCR
+			t.Fatalf("job %d quote: %v", job, err)
+		}
+		if err := mg.Release(s); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Output) != 4 || int(binary.LittleEndian.Uint32(s.Output)) != want {
+			t.Fatalf("job %d output % x, want %d", job, s.Output, want)
+		}
 	}
 }

@@ -131,7 +131,7 @@ func (t *TPM) sealBlob(mode byte, selBytes []byte, release Digest, data []byte) 
 	ct := gcm.Seal(nil, nonce, data, aad)
 	putScratch(aadBuf)
 
-	ekey, err := memoEncryptOAEP(t.rng, &t.srk.PublicKey, t.srkFP, aesKey[:], sealLabel)
+	ekey, err := memoEncryptOAEP(&t.rng, &t.srk.PublicKey, t.srkFP, aesKey[:], sealLabel)
 	if err != nil {
 		return nil, err
 	}

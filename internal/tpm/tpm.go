@@ -64,7 +64,7 @@ type TPM struct {
 	bus     *lpc.Bus
 	profile Profile
 	seed    uint64
-	rng     *sim.RNG
+	rng     sim.RNG
 
 	pcrs [evidence.NumPCRs]Digest
 
@@ -212,7 +212,9 @@ func (t *TPM) Boot() {
 	// first boot. This is what makes replay deterministic — and lets the
 	// experiments reboot and reuse a machine bit-identically to building
 	// a fresh one. (The seed is domain-separated from key generation.)
-	t.rng = sim.NewRNG(t.seed ^ 0x7049_4d53_494d_5450)
+	// The generator is held by value and overwritten in place, so a
+	// reboot allocates nothing.
+	t.rng = *sim.NewRNG(t.seed ^ 0x7049_4d53_494d_5450)
 	for i := range t.pcrs {
 		if i >= evidence.FirstDynamicPCR {
 			for j := range t.pcrs[i] {

@@ -1,6 +1,7 @@
 package tpm
 
 import (
+	"bytes"
 	"crypto/sha1"
 	"errors"
 	"testing"
@@ -179,6 +180,37 @@ func TestBootResetsHashState(t *testing.T) {
 	v, _ := chip.PCRValue(evidence.FirstDynamicPCR)
 	if v[0] != 0xff {
 		t.Fatal("dynamic PCR not -1 after reboot")
+	}
+}
+
+// TestBootReplaysRandomStream: power-on restarts the chip's RNG from its
+// seed, so every boot replays the same GetRandom stream — what lets a
+// rebooted machine stand in for a freshly built one.
+func TestBootReplaysRandomStream(t *testing.T) {
+	chip, _, _ := testTPM(t, Config{Seed: 11})
+	first, err := chip.GetRandom(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := chip.GetRandom(100); err != nil { // move the stream on
+		t.Fatal(err)
+	}
+	chip.Boot()
+	again, err := chip.GetRandom(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatalf("stream after reboot % x, want the first boot's % x", again[:8], first[:8])
+	}
+}
+
+// TestBootAllocs pins a reboot of a booted TPM at zero allocations: the
+// lab machines the experiments reuse reboot on every acquisition.
+func TestBootAllocs(t *testing.T) {
+	chip, _, _ := testTPM(t, Config{})
+	if allocs := testing.AllocsPerRun(100, chip.Boot); allocs != 0 {
+		t.Fatalf("Boot allocates %v allocs/op, want 0", allocs)
 	}
 }
 
