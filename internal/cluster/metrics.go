@@ -222,9 +222,9 @@ func (r *Router) bindRegistry(reg *obs.Registry) {
 		func(m *palsvc.Metrics) uint64 { return m.Submitted })
 	agg("cluster_jobs_completed_total", "Jobs completed across all backends (prober-sampled).",
 		func(m *palsvc.Metrics) uint64 { return m.Completed })
-	agg("cluster_quote_batches_total", "Batch quotes signed across all backends (prober-sampled).",
+	agg("cluster_quote_batches_total", "Batch quotes the TPMs made across all backends (prober-sampled).",
 		func(m *palsvc.Metrics) uint64 { return m.QuoteBatches })
-	agg("cluster_quote_signs_total", "AIK signatures spent in the quote stage across all backends (prober-sampled).",
+	agg("cluster_quote_signs_total", "AIK signatures the modelled TPMs made in the quote stage across all backends (prober-sampled).",
 		func(m *palsvc.Metrics) uint64 { return m.QuoteSigns })
 	agg("cluster_jobs_failed_total", "Jobs failed across all backends (prober-sampled).",
 		func(m *palsvc.Metrics) uint64 { return m.Failed })

@@ -82,7 +82,6 @@ func (r *refMemory) claim(p, cpu int) error {
 		return ErrPageBusy
 	}
 	pm.state = PageState(cpu)
-	pm.ver++
 	return nil
 }
 
@@ -95,7 +94,6 @@ func (r *refMemory) seclude(p, cpu int) error {
 		return ErrPageBusy
 	}
 	pm.state, pm.shares = AccessNone, 0
-	pm.ver++
 	return nil
 }
 
@@ -108,7 +106,6 @@ func (r *refMemory) release(p, cpu int) error {
 		return ErrPageBusy
 	}
 	pm.state, pm.shares = AccessAll, 0
-	pm.ver++
 	return nil
 }
 
@@ -124,7 +121,6 @@ func (r *refMemory) share(p, owner, joiner int) error {
 		return errRefInvalid
 	}
 	pm.shares |= 1 << uint(joiner)
-	pm.ver++
 	return nil
 }
 
@@ -135,7 +131,6 @@ func (r *refMemory) unshare(p, joiner int) error {
 	}
 	if joiner >= 0 && joiner < 64 {
 		pm.shares &^= 1 << uint(joiner)
-		pm.ver++
 	}
 	return nil
 }
@@ -155,19 +150,6 @@ func (r *refMemory) span(addr uint32, n int) ([]byte, error) {
 		return nil, ErrOutOfRange
 	}
 	return r.bytes[addr : int(addr)+n], nil
-}
-
-// write returns the bytes [addr, addr+n) for writing, after bumping the
-// version of every page they overlap.
-func (r *refMemory) write(addr uint32, n int) ([]byte, error) {
-	b, err := r.span(addr, n)
-	if err != nil {
-		return nil, err
-	}
-	for p := int(addr) / PageSize; n > 0 && p <= (int(addr)+n-1)/PageSize; p++ {
-		r.pages[p].ver++
-	}
-	return b, nil
 }
 
 func (r *refMemory) checkCPU(p, cpu int) error {
@@ -231,12 +213,10 @@ func comparePage(m *Memory, r *refMemory, p int) error {
 		rst = pm.state
 	}
 	differ("State", fmt.Sprint(st, " ", errClass(err)), fmt.Sprint(rst, " ", errClass(rerr)))
-	var rver uint32
 	var rdev bool
 	if rerr == nil {
-		rver, rdev = pm.ver, pm.dev
+		rdev = pm.dev
 	}
-	differ("PageVersion", m.PageVersion(p), rver)
 	dev, err := m.DEV(p)
 	differ("DEV", fmt.Sprint(dev, " ", errClass(err)), fmt.Sprint(rdev, " ", errClass(rerr)))
 	for cpu := 0; cpu < 4; cpu++ {
@@ -317,7 +297,7 @@ func applyOp(m *Memory, r *refMemory, i int, op []byte) (desc string, err, rerr 
 		}
 		desc, err = fmt.Sprintf("WriteRaw(%d, %d B)", addr, n), m.WriteRaw(addr, data)
 		var b []byte
-		if b, rerr = r.write(addr, n); rerr == nil {
+		if b, rerr = r.span(addr, n); rerr == nil {
 			copy(b, data)
 		}
 	case fzWriteWord:
@@ -325,7 +305,7 @@ func applyOp(m *Memory, r *refMemory, i int, op []byte) (desc string, err, rerr 
 		n = 4
 		desc, err = fmt.Sprintf("WriteWordRaw(%d, %#x)", addr, v), m.WriteWordRaw(addr, v)
 		var b []byte
-		if b, rerr = r.write(addr, n); rerr == nil {
+		if b, rerr = r.span(addr, n); rerr == nil {
 			b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 		}
 	case fzWriteByte:
@@ -333,13 +313,13 @@ func applyOp(m *Memory, r *refMemory, i int, op []byte) (desc string, err, rerr 
 		n = 1
 		desc, err = fmt.Sprintf("WriteByteRaw(%d, %#x)", addr, v), m.WriteByteRaw(addr, v)
 		var b []byte
-		if b, rerr = r.write(addr, n); rerr == nil {
+		if b, rerr = r.span(addr, n); rerr == nil {
 			b[0] = v
 		}
 	case fzZeroRange:
 		desc, err = fmt.Sprintf("ZeroRange(%d, %d)", addr, n), m.ZeroRange(addr, n)
 		var b []byte
-		if b, rerr = r.write(addr, n); rerr == nil {
+		if b, rerr = r.span(addr, n); rerr == nil {
 			clear(b)
 		}
 	case fzViews:
@@ -358,11 +338,10 @@ func applyOp(m *Memory, r *refMemory, i int, op []byte) (desc string, err, rerr 
 
 // FuzzPageTable drives Memory and refMemory in lockstep over op sequences
 // decoded four bytes an op, and after every op compares the op's error,
-// every read of each page it touched (State, PageVersion, DEV, SharedWith
-// and CheckCPU for CPUs 0–3, CheckDMA) and the bytes it wrote or viewed,
-// read both with ReadRaw and with Views. At the end it compares every page
-// and byte, which catches a write that leaked into a chunk the ops never
-// named.
+// every read of each page it touched (State, DEV, SharedWith and CheckCPU
+// for CPUs 0–3, CheckDMA) and the bytes it wrote or viewed, read both with
+// ReadRaw and with Views. At the end it compares every page and byte,
+// which catches a write that leaked into a chunk the ops never named.
 func FuzzPageTable(f *testing.F) {
 	// Seeds name their fields by value; see fuzzPageSel and friends.
 	idx := func(vals []int, v int) byte {

@@ -18,14 +18,10 @@
 // bytes. A chunk never touched reads as all zeros with every page in ALL;
 // its control state materializes on the first transition or write, and
 // its bytes only on the first write. A simulated machine therefore costs
-// an 8 KB chunk-pointer slice (for 64 MB), about 400 B per touched chunk
+// an 8 KB chunk-pointer slice (for 64 MB), about 300 B per touched chunk
 // and 64 KB per written chunk, rather than its physical memory size or a
 // dense page table, which is what makes building a machine cheap (see
 // docs/PERFORMANCE.md).
-//
-// Every page additionally carries a version counter, bumped on any write,
-// zeroing, or access-control transition touching the page. Crash bundles
-// report it for each page of the faulting PAL's region.
 package mem
 
 import (
@@ -90,16 +86,14 @@ var ErrOutOfRange = errors.New("mem: address out of range")
 // ErrDenied is returned when the access-control table forbids a request.
 var ErrDenied = errors.New("mem: access denied by access-control table")
 
-// pageMeta is the per-page control state.
+// pageMeta is the per-page control state, 16 bytes.
 type pageMeta struct {
-	// state is the access-control entry (Figure 5(b)).
-	state PageState
-	// ver counts content and access-control changes to the page.
-	ver uint32
 	// shares is a bitmask of additional CPUs granted access while the
 	// page is CPU-owned — the §6 "multicore PALs" extension. Meaningful
 	// only while state >= 0.
 	shares uint64
+	// state is the access-control entry (Figure 5(b)).
+	state PageState
 	// dev is the legacy DEV (Device Exclusion Vector) bit: true = page
 	// protected from DMA.
 	dev bool
@@ -121,7 +115,7 @@ func newChunk() *chunk {
 }
 
 // untouched stands in for every chunk never written or transitioned: all
-// zeros, and every page ALL at version 0 with no shares and DEV clear.
+// zeros, and every page ALL with no shares and DEV clear.
 // Only read hands it out; it is never written.
 var untouched = newChunk()
 
@@ -201,28 +195,6 @@ func (m *Memory) State(page int) (PageState, error) {
 	return m.meta(page).state, nil
 }
 
-// PageVersion returns the page's version counter: it changes whenever the
-// page's content or access-control state may have changed. Out-of-range
-// pages report 0.
-func (m *Memory) PageVersion(page int) uint32 {
-	if !m.inRange(page) {
-		return 0
-	}
-	return m.meta(page).ver
-}
-
-// bumpRange advances the version of every page overlapping [addr, addr+n).
-func (m *Memory) bumpRange(addr uint32, n int) {
-	if n <= 0 {
-		return
-	}
-	first := int(addr) / PageSize
-	last := (int(addr) + n - 1) / PageSize
-	for p := first; p <= last; p++ {
-		m.metaMut(p).ver++
-	}
-}
-
 // Claim transitions a page to exclusive ownership by cpu. Permitted from
 // ALL (first launch) and NONE (resume); from CPU state only if it is the
 // same CPU (idempotent re-claim). This is the transition the memory
@@ -237,9 +209,7 @@ func (m *Memory) Claim(page, cpu int) error {
 	}
 	switch {
 	case st == AccessAll, st == AccessNone, st == PageState(cpu):
-		pm := m.metaMut(page)
-		pm.state = PageState(cpu)
-		pm.ver++
+		m.metaMut(page).state = PageState(cpu)
 		return nil
 	default:
 		return fmt.Errorf("%w: page %d is %v, CPU%d cannot claim", ErrPageBusy, page, st, cpu)
@@ -260,7 +230,6 @@ func (m *Memory) Seclude(page, cpu int) error {
 	pm := m.metaMut(page)
 	pm.state = AccessNone
 	pm.shares = 0
-	pm.ver++
 	return nil
 }
 
@@ -276,7 +245,6 @@ func (m *Memory) Release(page, cpu int) error {
 		pm := m.metaMut(page)
 		pm.state = AccessAll
 		pm.shares = 0
-		pm.ver++
 		return nil
 	default:
 		return fmt.Errorf("%w: page %d is %v, CPU%d cannot release", ErrPageBusy, page, st, cpu)
@@ -297,9 +265,7 @@ func (m *Memory) Share(page, owner, joiner int) error {
 	if joiner < 0 || joiner >= 64 {
 		return fmt.Errorf("mem: invalid joiner CPU id %d", joiner)
 	}
-	pm := m.metaMut(page)
-	pm.shares |= 1 << uint(joiner)
-	pm.ver++
+	m.metaMut(page).shares |= 1 << uint(joiner)
 	return nil
 }
 
@@ -309,9 +275,7 @@ func (m *Memory) Unshare(page, joiner int) error {
 		return fmt.Errorf("%w: page %d", ErrOutOfRange, page)
 	}
 	if joiner >= 0 && joiner < 64 {
-		pm := m.metaMut(page)
-		pm.shares &^= 1 << uint(joiner)
-		pm.ver++
+		m.metaMut(page).shares &^= 1 << uint(joiner)
 	}
 	return nil
 }
@@ -479,7 +443,6 @@ func (m *Memory) WriteRaw(addr uint32, b []byte) error {
 	if err := m.checkRange(addr, len(b)); err != nil {
 		return err
 	}
-	m.bumpRange(addr, len(b))
 	for len(b) > 0 {
 		off := int(addr) & (ChunkSize - 1)
 		n := ChunkSize - off
@@ -512,7 +475,6 @@ func (m *Memory) WriteWordRaw(addr uint32, v uint32) error {
 	if err := m.checkRange(addr, 4); err != nil {
 		return err
 	}
-	m.bumpRange(addr, 4)
 	off := int(addr) & (ChunkSize - 1)
 	if off+4 <= ChunkSize {
 		c := m.dataFor(addr)
@@ -546,7 +508,6 @@ func (m *Memory) WriteByteRaw(addr uint32, v byte) error {
 	if err := m.checkRange(addr, 1); err != nil {
 		return err
 	}
-	m.metaMut(int(addr)/PageSize).ver++
 	m.dataFor(addr)[int(addr)&(ChunkSize-1)] = v
 	return nil
 }
@@ -558,7 +519,6 @@ func (m *Memory) ZeroRange(addr uint32, n int) error {
 	if err := m.checkRange(addr, n); err != nil {
 		return err
 	}
-	m.bumpRange(addr, n)
 	for n > 0 {
 		off := int(addr) & (ChunkSize - 1)
 		step := ChunkSize - off

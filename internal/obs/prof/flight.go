@@ -34,9 +34,8 @@ type RegionInfo struct {
 
 // PageInfo is one page of the PAL's region in the memory-ownership map.
 type PageInfo struct {
-	Page    int    `json:"page"`
-	State   string `json:"state"`
-	Version uint32 `json:"version"`
+	Page  int    `json:"page"`
+	State string `json:"state"`
 }
 
 // MemMap summarizes chipset memory ownership at fault time: platform-wide
@@ -212,7 +211,7 @@ func WriteCrash(w io.Writer, b *CrashBundle) {
 	}
 	fmt.Fprintf(w, "  memory:  all=%d none=%d cpu-owned=%d pages; region pages:", b.Memory.PagesAll, b.Memory.PagesNone, b.Memory.PagesOwned)
 	for _, pg := range b.Memory.RegionPages {
-		fmt.Fprintf(w, " %d:%s(v%d)", pg.Page, pg.State, pg.Version)
+		fmt.Fprintf(w, " %d:%s", pg.Page, pg.State)
 	}
 	fmt.Fprintln(w)
 	if len(b.HotPCs) > 0 {

@@ -261,6 +261,27 @@ func TestReadProfileIgnoresRemovedFields(t *testing.T) {
 	}
 }
 
+// TestReadCrashesIgnoresPageVersion: crash bundles recorded while pages
+// carried a version counter still decode, and render without it.
+func TestReadCrashesIgnoresPageVersion(t *testing.T) {
+	old := `{"id":1,"reason":"fault","memory":{"pages_none":2,
+		"region_pages":[{"page":4,"state":"NONE","version":3},{"page":5,"state":"NONE","version":1}]}}`
+	bs, err := ReadCrashes(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []PageInfo{{Page: 4, State: "NONE"}, {Page: 5, State: "NONE"}}
+	if len(bs) != 1 || len(bs[0].Memory.RegionPages) != 2 ||
+		bs[0].Memory.RegionPages[0] != want[0] || bs[0].Memory.RegionPages[1] != want[1] {
+		t.Fatalf("old bundle decoded as %+v", bs)
+	}
+	var out bytes.Buffer
+	WriteCrash(&out, bs[0])
+	if !strings.Contains(out.String(), "region pages: 4:NONE 5:NONE\n") {
+		t.Fatalf("rendered bundle lacks the page map:\n%s", out.String())
+	}
+}
+
 func hex4(v uint32) string {
 	const digits = "0123456789abcdef"
 	return string([]byte{digits[v>>12&0xf], digits[v>>8&0xf], digits[v>>4&0xf], digits[v&0xf]})

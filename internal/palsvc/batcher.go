@@ -16,23 +16,24 @@ import (
 // execution hand their parked registers to it. The batcher group-commits:
 // it takes the first hand-off, drains whatever else is already waiting,
 // up to Batch.MaxSize, and attests the lot with a single
-// TPM_SEPCR_QuoteBatch — one AIK signature over the Merkle root of every
-// job's composite. The TPM command runs under the machine mutex (the
-// §5.4.5 arbitration stand-in); the host's RSA signature, which the
-// command has already charged in virtual time, runs after the lock is
-// dropped. While one batch is signed, the next jobs execute and queue, so
-// batches grow with the load and no timer is involved. With MaxSize <= 1
-// every flush is a batch of one. Each worker gets back its leaf's
-// inclusion proof against the authenticated root and verifies it
-// lock-free, in parallel with other jobs.
+// TPM_SEPCR_QuoteBatch over the Merkle root of every job's composite. The
+// TPM command runs under the machine mutex (the §5.4.5 arbitration
+// stand-in) and charges the AIK signature's virtual time there; jobs that
+// finish executing while a batch is flushed form the next one, so batches
+// grow with the load and no timer is involved. With MaxSize <= 1 every
+// flush is a batch of one. Each worker gets back its leaf's inclusion
+// proof against the authenticated root and verifies it lock-free, in
+// parallel with other jobs.
 //
 // The batcher also owns the machine's quote session: the first flush
-// opens one (one extra AIK signature and one verifier-side RSA verify),
-// and every later batch rides the HMAC channel — zero RSA on the
-// verifier in steady state. The batcher authenticates each batch once,
-// by that HMAC, before fanning it out. A failed session open degrades to
-// stateless authentication (the cert chain and the batch's one AIK
-// signature) and is retried on the next flush.
+// opens one (one AIK signature over the grant and one verifier-side RSA
+// verify), and every later batch rides the HMAC channel. The batcher
+// authenticates each batch once, by that HMAC, before fanning it out.
+// Nothing reads a session-bound batch's AIK signature, so the host never
+// computes it, and the steady state performs no RSA on either side. A
+// failed session open degrades to stateless authentication (the cert
+// chain and the batch's AIK signature, which the host then computes with
+// the lock dropped) and is retried on the next flush.
 
 // BatchPolicy configures the per-machine quote batcher.
 type BatchPolicy struct {
@@ -48,7 +49,7 @@ func DefaultBatchPolicy() BatchPolicy {
 
 // quoteItem is one job's hand-off from its worker to the machine's
 // batcher: the register parked in Quote state, and a channel the batcher
-// answers on once the batch is signed.
+// answers on once the batch is authenticated.
 type quoteItem struct {
 	t    *task
 	secb *sksm.SECB
@@ -124,11 +125,13 @@ func drainBatch(ch <-chan *quoteItem, maxSize int) ([]*quoteItem, bool) {
 // flushBatch attests one batch. Under a single machine-lock acquisition
 // it lazily opens the quote session, runs one TPM_SEPCR_QuoteBatch command
 // over every collected register and releases the SECBs. Then, with the
-// lock dropped and admission woken, it computes the batch's AIK
-// signature, authenticates the batch once and fans it back to the waiting
-// workers. The session opens inside the first job's quote span, so its
-// TPM command joins the trace that waited for it; each job's quote span
-// ends after the signature, at the virtual time the command ended.
+// lock dropped and admission woken, it authenticates the batch once and
+// fans it back to the waiting workers. A batch bound to the session is
+// authenticated by its MAC; only a stateless batch gets its AIK signature
+// computed, before it is checked against the cert chain. The session
+// opens inside the first job's quote span, so its TPM command joins the
+// trace that waited for it; each job's quote span ends after the
+// signature, if any, at the virtual time the command ended.
 //
 // On a failed command every register is freed unquoted (the TPM's
 // injection point sits before anything is consumed, so failed batches
@@ -184,10 +187,13 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 		s.wakeAdmission()
 	}
 
-	// The host computes the AIK signature with the lock dropped: the
-	// command has already charged its virtual time.
+	// The command has charged the AIK signature's virtual time either
+	// way. A session-bound batch is authenticated by the MAC the command
+	// computed, and nothing reads its signature, so the host computes the
+	// signature, with the lock dropped, only for a stateless batch.
+	bySession := qerr == nil && m.session != nil && q.SessionID != 0
 	var serr error
-	if qerr == nil {
+	if qerr == nil && !bySession {
 		signStart := time.Now()
 		serr = sign()
 		signDur := time.Since(signStart)
@@ -239,12 +245,12 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 
 	// Authenticate the batch once for all its jobs: over the session's
 	// HMAC channel when the batch is bound to one, by the cert chain and
-	// the one AIK signature otherwise. A failure is the jobs' verification
+	// the AIK signature otherwise. A failure is the jobs' verification
 	// failure, not the machine's.
 	aStart := time.Now()
 	var b *attest.Batch
 	var aerr error
-	if m.session != nil && q.SessionID != 0 {
+	if bySession {
 		b, aerr = m.session.AuthenticateBatch(q)
 	} else {
 		b, aerr = sys.Verifier.AuthenticateBatch(sys.Cert, q)

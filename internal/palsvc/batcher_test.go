@@ -2,6 +2,7 @@ package palsvc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"minimaltcb/internal/attest"
 	"minimaltcb/internal/audit"
 	"minimaltcb/internal/core"
+	"minimaltcb/internal/obs"
 	"minimaltcb/internal/sksm"
 	"minimaltcb/internal/tpm"
 )
@@ -103,6 +105,166 @@ func TestBatchedSessionAmortizesVerifierRSA(t *testing.T) {
 	}
 	if m.session.Batches() < 2 {
 		t.Fatalf("session authenticated %d batches, want >= 2", m.session.Batches())
+	}
+}
+
+// cryptoLookups is the crypto memo's lookup count so far. Every host RSA
+// private-key operation of the TPM simulator goes through the memo, and
+// palsvc's tests run one at a time, so its change across a test step is
+// the RSA that step asked for.
+func cryptoLookups() uint64 {
+	c := tpm.CacheStats()
+	return c.CryptoHits + c.CryptoMisses
+}
+
+// TestBatchSessionSignsNothing pins that a batch bound to the machine's
+// quote session costs the host no RSA: the session MAC authenticates it,
+// so once the first flush has opened the session, attested jobs make no
+// crypto-memo lookup at all, and the session still authenticates every
+// batch.
+func TestBatchSessionSignsNothing(t *testing.T) {
+	s := newTestService(t, Config{
+		Machines: 1,
+		Batch:    BatchPolicy{MaxSize: 4},
+	})
+	runBatchLoad(t, s, 1)
+	m := s.machines[0]
+	if m.session == nil {
+		t.Fatal("the first flush opened no quote session")
+	}
+	const jobs = 16
+	before := cryptoLookups()
+	results := runBatchLoad(t, s, jobs)
+	if got := cryptoLookups() - before; got != 0 {
+		t.Fatalf("%d session-bound jobs made %d crypto-memo lookups, want 0", jobs, got)
+	}
+	for i, res := range results {
+		if res == nil {
+			continue // already reported
+		}
+		if res.Err != nil || res.VerifiedAs != "hello" {
+			t.Fatalf("job %d: verified as %q, err %v", i, res.VerifiedAs, res.Err)
+		}
+	}
+	if got, want := m.session.Batches(), s.Metrics().QuoteBatches; got != want {
+		t.Fatalf("session authenticated %d of %d batches, want all", got, want)
+	}
+}
+
+// sessionOpenFault fails the first left TPM_Quote_SessionOpen commands, so
+// the flushes that try them find no session. The batcher consults it under
+// the machine lock.
+type sessionOpenFault struct{ left int }
+
+func (f *sessionOpenFault) TPMCommand(name string) (time.Duration, error) {
+	if name != "TPM_Quote_SessionOpen" || f.left == 0 {
+		return 0, nil
+	}
+	f.left--
+	return 0, errors.New("injected session-open fault")
+}
+
+// traceSpans returns one trace's records from the tracer, by name.
+func traceSpans(t *testing.T, tracer *obs.Tracer, trace obs.TraceID) map[string][]obs.Record {
+	t.Helper()
+	recs, dropped := tracer.Snapshot()
+	if dropped != 0 {
+		t.Fatalf("dropped %d records", dropped)
+	}
+	byName := map[string][]obs.Record{}
+	for _, r := range recs {
+		if r.Trace == trace {
+			byName[r.Name] = append(byName[r.Name], r)
+		}
+	}
+	return byName
+}
+
+// TestBatchStatelessFallbackSigns covers the one batch the host still
+// signs. While TPM_Quote_SessionOpen fails, each flush finds no session,
+// so its batch is signed and authenticated against the cert chain by
+// Verifier.AuthenticateBatch, and its job's trace carries a wall-only
+// sign span inside its quote span. The flush after the faults opens the
+// session, and from then on no batch is signed.
+func TestBatchStatelessFallbackSigns(t *testing.T) {
+	const failedOpens = 2
+	tracer := obs.NewTracer(8192)
+	s := newTestService(t, Config{Machines: 1, Tracer: tracer})
+	m := s.machines[0]
+	m.sys.Machine.InstallFaults(&sessionOpenFault{left: failedOpens})
+
+	// Jobs run one at a time here, so each flush is one job's and the
+	// batcher touches m.session only while it runs.
+	run := func(i int) (map[string][]obs.Record, uint64) {
+		t.Helper()
+		before := cryptoLookups()
+		res, err := s.Run(Job{Name: "hello", Source: helloSource})
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if res.Err != nil || res.VerifiedAs != "hello" {
+			t.Fatalf("job %d: verified as %q, err %v", i, res.VerifiedAs, res.Err)
+		}
+		return traceSpans(t, tracer, res.Trace), cryptoLookups() - before
+	}
+	for i := 0; i < failedOpens; i++ {
+		spans, lookups := run(i)
+		if m.session != nil {
+			t.Fatalf("job %d: a session opened despite the injected fault", i)
+		}
+		// The job verified with no session, so the cert chain and the
+		// batch's AIK signature authenticated it: its one crypto-memo
+		// lookup is that signature.
+		if lookups != 1 {
+			t.Fatalf("stateless job %d made %d crypto-memo lookups, want 1 (its batch signature)", i, lookups)
+		}
+		// The signature runs after the machine lock drops, but the quote
+		// span stays open across it: the wall-only sign span nests under
+		// the quote span and lies inside its wall interval, while the
+		// quote span keeps the virtual time the TPM command charged.
+		if len(spans["sign"]) != 1 || len(spans["quote"]) != 1 {
+			t.Fatalf("job %d: %d sign and %d quote spans, want 1 each", i, len(spans["sign"]), len(spans["quote"]))
+		}
+		sign, quote := spans["sign"][0], spans["quote"][0]
+		if sign.Parent != quote.ID {
+			t.Fatalf("job %d: sign span under span %d, want the quote span %d", i, sign.Parent, quote.ID)
+		}
+		if sign.WallStart < quote.WallStart || sign.WallStart+sign.WallDur > quote.WallStart+quote.WallDur {
+			t.Fatalf("job %d: sign span [%d, +%d ns] is not inside the quote span [%d, +%d ns]",
+				i, sign.WallStart, sign.WallDur, quote.WallStart, quote.WallDur)
+		}
+		if sign.VirtStart >= 0 || quote.VirtStart < 0 || quote.VirtDur < 0 {
+			t.Fatalf("job %d: virtual time on sign %d/%d and quote %d/%d, want none on sign only",
+				i, sign.VirtStart, sign.VirtDur, quote.VirtStart, quote.VirtDur)
+		}
+	}
+
+	// The faults are spent: this flush opens the session, whose grant is
+	// its one signature, and binds its batch to it.
+	spans, lookups := run(failedOpens)
+	if m.session == nil {
+		t.Fatal("no session opened once the faults were spent")
+	}
+	if lookups != 1 || len(spans["TPM_Quote_SessionOpen"]) != 1 || len(spans["sign"]) != 0 {
+		t.Fatalf("session-opening job: %d crypto-memo lookups, %d session opens, %d sign spans; want 1, 1, 0",
+			lookups, len(spans["TPM_Quote_SessionOpen"]), len(spans["sign"]))
+	}
+	for i := failedOpens + 1; i < failedOpens+4; i++ {
+		if spans, lookups := run(i); lookups != 0 || len(spans["sign"]) != 0 {
+			t.Fatalf("session-bound job %d: %d crypto-memo lookups and %d sign spans, want none",
+				i, lookups, len(spans["sign"]))
+		}
+	}
+	met := s.Metrics()
+	if got, want := m.session.Batches(), met.QuoteBatches-failedOpens; got != want {
+		t.Fatalf("session authenticated %d batches, want all %d after it opened", got, want)
+	}
+	// The modelled TPM signed, and was charged for, every batch.
+	if met.QuoteSigns != met.QuoteBatches {
+		t.Fatalf("quote_signs=%d, want one per batch (%d)", met.QuoteSigns, met.QuoteBatches)
+	}
+	if err := s.LeakCheck(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -68,13 +68,16 @@ type Metrics struct {
 	SePCROccupancy    int `json:"sepcr_occupancy"`
 	MaxSePCROccupancy int `json:"sepcr_occupancy_max"`
 
-	// Quote-batching effectiveness: QuoteBatches counts signed batch
-	// quotes, BatchedJobs the attested jobs those batches covered,
-	// MaxBatchSize the largest batch signed, and QuoteSigns the AIK
-	// signatures spent in the quote stage — one per batch, so QuoteSigns
-	// << BatchedJobs is the amortization working. Every attested job is
-	// counted; with Batch.MaxSize <= 1 each batch is a batch of one.
-	// All zero (and absent from the wire) until a job is attested.
+	// Quote-batching effectiveness: QuoteBatches counts batch quotes,
+	// BatchedJobs the attested jobs those batches covered, MaxBatchSize
+	// the largest batch, and QuoteSigns the AIK signatures the modelled
+	// TPM made and was charged for in the quote stage — one per batch, so
+	// QuoteSigns << BatchedJobs is the amortization working. The host
+	// computes a signature's bytes only for a batch authenticated
+	// statelessly; a session-bound batch is checked by its MAC. Every
+	// attested job is counted; with Batch.MaxSize <= 1 each batch is a
+	// batch of one. All zero (and absent from the wire) until a job is
+	// attested.
 	QuoteBatches uint64 `json:"quote_batches,omitempty"`
 	BatchedJobs  uint64 `json:"batched_jobs,omitempty"`
 	MaxBatchSize int    `json:"max_batch_size,omitempty"`
@@ -185,8 +188,8 @@ func (m *metrics) releaseOne() {
 }
 
 // noteBatch records one batch flush of n jobs; ok reports whether the
-// batch got its AIK signature (a failed batch spent no RSA, or none that
-// produced a signature, and counts toward nothing).
+// batch was quoted and, if it needed one, got its host signature (a
+// failed batch counts toward nothing).
 func (m *metrics) noteBatch(n int, ok bool) {
 	if !ok {
 		return

@@ -66,9 +66,9 @@ func (s *Service) bindRegistry(r *obs.Registry) {
 		deadline:    r.Counter("palsvc_jobs_deadline_exceeded_total", "Jobs whose deadline expired at any pipeline stage."),
 		retried:     r.Counter("palsvc_jobs_retried_total", "Supervisor retries of retryable job failures."),
 		quarantines: r.Counter("palsvc_machine_quarantines_total", "Replica quarantine trips after repeated consecutive faults."),
-		batchesC:    r.Counter("palsvc_quote_batches_total", "Batch quotes signed (one AIK signature each)."),
+		batchesC:    r.Counter("palsvc_quote_batches_total", "Batch quotes the TPM made (one AIK signature each)."),
 		batchJobsC:  r.Counter("palsvc_quote_batched_jobs_total", "Jobs attested inside batch quotes."),
-		signsC:      r.Counter("palsvc_quote_signs_total", "AIK signatures spent in the quote stage (one per batch)."),
+		signsC:      r.Counter("palsvc_quote_signs_total", "AIK signatures the modelled TPM made and was charged for in the quote stage (one per batch); the host computes one only for a batch authenticated without the quote session."),
 
 		queueH:  stage("queue_wait", "wall"),
 		arbH:    stage("arb_wait", "wall"),

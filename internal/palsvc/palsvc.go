@@ -17,11 +17,11 @@
 //     Each machine is a single-threaded simulator, so a per-machine mutex
 //     plays the role of the hardware TPM arbitration of §5.4.5: execution
 //     and the TPM's quote command serialize on it, while the host's RSA
-//     signature over the quote and verification (pure public-key
-//     cryptography, off-platform by definition) run outside it;
+//     signature over a batch quoted without a session and verification
+//     (off-platform by definition) run outside it;
 //   - a per-machine batcher group-commits quotes: it attests every
 //     finished job already waiting for it with one TPM batch quote, so
-//     batches grow with the load while the previous batch is signed;
+//     batches grow with the load while the previous batch is flushed;
 //   - the result layer caches compiled PAL images by source digest, so
 //     repeated tenants skip the assembler, and verifies each batch quote
 //     by authenticating the batch once (over the machine's quote session
@@ -119,10 +119,10 @@ type Config struct {
 	SLO *obs.SLOTracker
 	// Batch configures the per-machine quote batcher (batcher.go) every
 	// attested job goes through: completed jobs that are waiting when the
-	// batcher flushes are attested together, up to MaxSize, with one AIK
-	// signature over a Merkle root, verified over a per-machine quote
+	// batcher flushes are attested together, up to MaxSize, with one TPM
+	// quote over a Merkle root, authenticated over a per-machine quote
 	// session. The zero value attests each job as a batch of one — one
-	// signature per job.
+	// quote per job.
 	Batch BatchPolicy
 	// Audit, when non-nil, records every trust-relevant lifecycle event —
 	// launch measurements, sePCR transitions, seal/unseal decisions, PAL
@@ -343,7 +343,7 @@ func New(cfg Config) (*Service, error) {
 		s.auditRec = cfg.Audit.Recorder(nil, -1)
 	}
 	for _, m := range s.machines {
-		// Room for one batch of hand-offs while the batcher signs the
+		// Room for one batch of hand-offs while the batcher flushes the
 		// previous one.
 		m.batchCh = make(chan *quoteItem, max(cfg.Batch.MaxSize, 1))
 		s.batchWg.Add(1)

@@ -69,11 +69,7 @@ func (mg *Manager) crashBundle(s *SECB, reason string, ferr error) *prof.CrashBu
 		if err != nil {
 			break
 		}
-		b.Memory.RegionPages = append(b.Memory.RegionPages, prof.PageInfo{
-			Page:    p,
-			State:   st.String(),
-			Version: memory.PageVersion(p),
-		})
+		b.Memory.RegionPages = append(b.Memory.RegionPages, prof.PageInfo{Page: p, State: st.String()})
 	}
 	return b
 }
